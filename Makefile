@@ -121,8 +121,9 @@ bench:
 bench-ratchet:
 	$(GO) run ./cmd/bench-ratchet -baseline BENCH_pipeline.json
 
-# Short fuzz pass over the parsers and the shard-merge property (longer
-# runs: increase -fuzztime).
+# Short fuzz pass over the parsers, the block-boundary decode and load
+# properties (the decode fuzzers choose the block size too), and the
+# shard-merge property (longer runs: increase -fuzztime).
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/dn/
 	$(GO) test -fuzz FuzzFieldRoundTrip -fuzztime 20s ./internal/zeek/
@@ -131,6 +132,7 @@ fuzz:
 	$(GO) test -fuzz FuzzTailerWithFaults -fuzztime 30s ./internal/zeek/
 	$(GO) test -fuzz FuzzTSVDecodeEquivalence -fuzztime 30s ./internal/zeek/
 	$(GO) test -fuzz FuzzJSONDecodeEquivalence -fuzztime 30s ./internal/zeek/
+	$(GO) test -fuzz FuzzLoadBlocks -fuzztime 30s -fuzzminimizetime 5s ./internal/zeek/
 	$(GO) test -fuzz FuzzShardMerge -fuzztime 30s ./internal/analysis/
 	$(GO) test -fuzz FuzzRegistryMerge -fuzztime 20s ./internal/obs/
 	$(GO) test -fuzz FuzzLintChain -fuzztime 30s ./internal/lint/

@@ -5,11 +5,13 @@ import (
 	"compress/gzip"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
 
 	"certchains/internal/campus"
+	"certchains/internal/certmodel"
 	"certchains/internal/zeek"
 )
 
@@ -72,6 +74,11 @@ func LoadFormat(format Format, ssl, x509 io.Reader) ([]*campus.Observation, erro
 // producer side of Pipeline.RunStream. Aggregation still requires the full
 // join pass (an observation's counters close only at end of stream), but the
 // observations themselves flow straight into the consumer.
+//
+// The join runs block-parallel (zeek.FoldBlocks): every worker folds its
+// block's rows into a blockAgg, and the block aggregates merge here in file
+// order, so the observations, their order and every error are those of one
+// serial pass over the file.
 func LoadFormatFunc(format Format, ssl, x509 io.Reader, emit func(*campus.Observation) error) error {
 	var err error
 	if ssl, err = maybeGunzip(ssl); err != nil {
@@ -80,86 +87,211 @@ func LoadFormatFunc(format Format, ssl, x509 io.Reader, emit func(*campus.Observ
 	if x509, err = maybeGunzip(x509); err != nil {
 		return err
 	}
-	type agg struct {
-		o   *campus.Observation
-		ips map[string]bool
-	}
-	byKey := make(map[string]*agg)
-	var order []string
-	var keyBuf []byte
-
-	// FastJoin pools the Connection and SSL record between callbacks; the
-	// aggregation below retains only safe values — the canonical Chain,
-	// immutable field strings, and the TS value.
-	join := zeek.FastJoin
+	l := loader{byKey: make(map[string]int)}
+	fold := zeek.BlockFold[*blockAgg]{New: newBlockAgg, Fold: (*blockAgg).fold, Merge: l.merge}
 	if format == FormatJSON {
-		join = zeek.FastJoinJSON
+		err = zeek.FoldBlocksJSON(ssl, x509, fold)
+	} else {
+		err = zeek.FoldBlocks(ssl, x509, fold)
 	}
-	err = join(ssl, x509, func(c *zeek.Connection, err error) error {
-		if err != nil {
-			// Tolerate per-row join gaps (x509 rotation) like real log
-			// pipelines; the row is dropped.
-			return nil
-		}
-		keyBuf = c.Chain.AppendKey(keyBuf[:0])
-		keyBuf = append(keyBuf, '|')
-		keyBuf = append(keyBuf, c.SSL.RespH...)
-		keyBuf = append(keyBuf, '|')
-		keyBuf = strconv.AppendInt(keyBuf, int64(c.SSL.RespP), 10)
-		a := byKey[string(keyBuf)]
-		if a == nil {
-			key := string(keyBuf)
-			a = &agg{
-				o: &campus.Observation{
-					Chain:    c.Chain,
-					ServerIP: c.SSL.RespH,
-					Port:     c.SSL.RespP,
-					First:    c.SSL.TS,
-					Last:     c.SSL.TS,
-				},
-				ips: make(map[string]bool),
-			}
-			byKey[key] = a
-			order = append(order, key)
-		}
-		a.o.Conns++
-		if c.SSL.Established {
-			a.o.Established++
-		}
-		if c.SSL.ServerName == "" {
-			a.o.NoSNI++
-		} else if a.o.Domain == "" {
-			a.o.Domain = c.SSL.ServerName
-		}
-		if len(c.Chain) == 0 {
-			a.o.TLS13 = true
-		}
-		a.ips[c.SSL.OrigH] = true
-		if c.SSL.TS.Before(a.o.First) {
-			a.o.First = c.SSL.TS
-		}
-		if c.SSL.TS.After(a.o.Last) {
-			a.o.Last = c.SSL.TS
-		}
-		return nil
-	})
 	if err != nil {
 		return err
 	}
-
-	for _, key := range order {
-		a := byKey[key]
-		ips := make([]string, 0, len(a.ips))
-		for ip := range a.ips {
-			ips = append(ips, ip)
-		}
-		sort.Strings(ips)
-		a.o.ClientIPs = ips
-		if err := emit(a.o); err != nil {
+	for _, g := range l.order {
+		g.compactIPs()
+		if err := emit(g.o); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// rowKey identifies a row's observation cheaply. A worker's chains are
+// canonical, so the first element's address stands for the whole chain; nil
+// is the empty chain. Equal rowKeys mean equal content keys.
+type rowKey struct {
+	chain *(*certmodel.Meta)
+	respH string
+	port  int
+}
+
+// blockEntry is one observation's aggregate over one block's rows.
+type blockEntry struct {
+	key string // (chain, server endpoint) content key, as merged across blocks
+	o   *campus.Observation
+}
+
+// blockAgg folds one block's joined rows into per-observation aggregates,
+// in first-seen order. It runs on a block worker and owns everything it
+// points to until merged.
+type blockAgg struct {
+	entries []blockEntry
+	byKey   map[string]int32 // content key → entry
+	// ips holds an entry's client IPs past its first smallIPs, which a
+	// linear scan covers.
+	ips    map[ipKey]struct{}
+	keyBuf []byte
+	// last memoizes the previous row's entry: one server's connections
+	// tend to arrive together, and a hit skips building the content key.
+	last    rowKey
+	lastIdx int32
+}
+
+const smallIPs = 8
+
+type ipKey struct {
+	entry int32
+	ip    string
+}
+
+func newBlockAgg() *blockAgg {
+	return &blockAgg{
+		byKey:   make(map[string]int32),
+		ips:     make(map[ipKey]struct{}),
+		lastIdx: -1,
+	}
+}
+
+// fold folds one joined row. Per-row join gaps (x509 rotation) are
+// tolerated like real log pipelines tolerate them: the row is dropped.
+func (a *blockAgg) fold(c *zeek.Connection, rowErr error) {
+	if rowErr != nil {
+		return
+	}
+	r := c.SSL
+	k := rowKey{respH: r.RespH, port: r.RespP}
+	if len(c.Chain) > 0 {
+		k.chain = &c.Chain[0]
+	}
+	i := a.lastIdx
+	if k != a.last || i < 0 {
+		i = a.entry(c)
+		a.last, a.lastIdx = k, i
+	}
+	o := a.entries[i].o
+	o.Conns++
+	if r.Established {
+		o.Established++
+	}
+	if r.ServerName == "" {
+		o.NoSNI++
+	} else if o.Domain == "" {
+		o.Domain = r.ServerName
+	}
+	if len(c.Chain) == 0 {
+		o.TLS13 = true
+	}
+	if r.TS.Before(o.First) {
+		o.First = r.TS
+	}
+	if r.TS.After(o.Last) {
+		o.Last = r.TS
+	}
+	a.addIP(o, i, r.OrigH)
+}
+
+// addIP adds ip to entry i's client IPs unless the block has seen it.
+func (a *blockAgg) addIP(o *campus.Observation, i int32, ip string) {
+	small := o.ClientIPs[:min(len(o.ClientIPs), smallIPs)]
+	for _, s := range small {
+		if s == ip {
+			return
+		}
+	}
+	if len(small) == smallIPs {
+		k := ipKey{i, ip}
+		if _, seen := a.ips[k]; seen {
+			return
+		}
+		a.ips[k] = struct{}{}
+	}
+	o.ClientIPs = append(o.ClientIPs, ip)
+}
+
+// entry returns the entry for a row's content key, opening one on the
+// key's first row in the block.
+func (a *blockAgg) entry(c *zeek.Connection) int32 {
+	a.keyBuf = c.Chain.AppendKey(a.keyBuf[:0])
+	a.keyBuf = append(a.keyBuf, '|')
+	a.keyBuf = append(a.keyBuf, c.SSL.RespH...)
+	a.keyBuf = append(a.keyBuf, '|')
+	a.keyBuf = strconv.AppendInt(a.keyBuf, int64(c.SSL.RespP), 10)
+	if i, ok := a.byKey[string(a.keyBuf)]; ok {
+		return i
+	}
+	i := int32(len(a.entries))
+	key := string(a.keyBuf)
+	a.byKey[key] = i
+	a.entries = append(a.entries, blockEntry{key: key, o: &campus.Observation{
+		Chain:    c.Chain,
+		ServerIP: c.SSL.RespH,
+		Port:     c.SSL.RespP,
+		First:    c.SSL.TS,
+		Last:     c.SSL.TS,
+	}})
+	return i
+}
+
+// loader merges block aggregates in file order into the observations of one
+// serial pass: counters sum, TLS13 ORs, First/Last widen, client IPs
+// union, and Domain, Chain, ServerIP and Port come from the first row that
+// set them, because blocks and their entries arrive in first-seen order.
+type loader struct {
+	byKey map[string]int
+	order []loadAgg
+}
+
+// loadAgg is one observation being merged. Its ClientIPs collect each
+// block's distinct addresses; sorted is the length of the sorted,
+// duplicate-free prefix, so repeats across blocks are compacted away as
+// the list doubles rather than held until the end.
+type loadAgg struct {
+	o      *campus.Observation
+	sorted int
+}
+
+func (l *loader) merge(a *blockAgg) error {
+	for _, e := range a.entries {
+		i, ok := l.byKey[e.key]
+		if !ok {
+			l.byKey[e.key] = len(l.order)
+			l.order = append(l.order, loadAgg{o: e.o})
+			continue
+		}
+		g := &l.order[i]
+		o, b := g.o, e.o
+		o.Conns += b.Conns
+		o.Established += b.Established
+		o.NoSNI += b.NoSNI
+		if o.Domain == "" {
+			o.Domain = b.Domain
+		}
+		o.TLS13 = o.TLS13 || b.TLS13
+		if b.First.Before(o.First) {
+			o.First = b.First
+		}
+		if b.Last.After(o.Last) {
+			o.Last = b.Last
+		}
+		o.ClientIPs = append(o.ClientIPs, b.ClientIPs...)
+		if len(o.ClientIPs) > 2*g.sorted+16 {
+			g.compactIPs()
+		}
+	}
+	clear(a.entries)
+	a.entries = a.entries[:0]
+	clear(a.byKey)
+	clear(a.ips)
+	a.last, a.lastIdx = rowKey{}, -1
+	return nil
+}
+
+// compactIPs sorts the client IPs and drops duplicates.
+func (g *loadAgg) compactIPs() {
+	ips := g.o.ClientIPs
+	sort.Strings(ips)
+	g.o.ClientIPs = slices.Compact(ips)
+	g.sorted = len(g.o.ClientIPs)
 }
 
 // WriteOptions controls how observations expand into Zeek log records.

@@ -3,8 +3,6 @@
 
 package certmodel
 
-import "sync"
-
 // Interner canonicalizes byte views into owned, deduplicated strings. The
 // Zeek decode hot path reads fields as views into a reused row buffer;
 // interning is the step that makes a field value safe to retain (the
@@ -13,12 +11,13 @@ import "sync"
 // DNs, SNIs, server IPs, algorithm names — to one allocation per distinct
 // value instead of one per row.
 //
-// The zero value is ready to use. An Interner is safe for concurrent use;
-// the steady-state hit path takes only a read lock and allocates nothing
-// (the map probe with a string conversion of the byte view does not copy).
+// The zero value is ready to use. An Interner is NOT safe for concurrent
+// use: like dn.Interner it has a single owner, one per decode stream (every
+// block worker has its own), so the hit path is a bare map probe that
+// allocates nothing (the probe with a string conversion of the byte view
+// does not copy).
 type Interner struct {
-	mu sync.RWMutex
-	m  map[string]string
+	m map[string]string
 }
 
 // Bytes returns the canonical string for b. Equal inputs return the same
@@ -27,22 +26,14 @@ func (in *Interner) Bytes(b []byte) string {
 	if len(b) == 0 {
 		return ""
 	}
-	in.mu.RLock()
-	s, ok := in.m[string(b)]
-	in.mu.RUnlock()
-	if ok {
+	if s, ok := in.m[string(b)]; ok {
 		return s
 	}
-	in.mu.Lock()
 	if in.m == nil {
 		in.m = make(map[string]string) //certchain:coldpath first insert only
 	}
-	s, ok = in.m[string(b)]
-	if !ok {
-		s = string(b) //certchain:coldpath one copy ever per distinct value, on its first miss
-		in.m[s] = s
-	}
-	in.mu.Unlock()
+	s := string(b) //certchain:coldpath one copy ever per distinct value, on its first miss
+	in.m[s] = s
 	return s
 }
 
@@ -51,28 +42,15 @@ func (in *Interner) String(s string) string {
 	if s == "" {
 		return ""
 	}
-	in.mu.RLock()
-	c, ok := in.m[s]
-	in.mu.RUnlock()
-	if ok {
+	if c, ok := in.m[s]; ok {
 		return c
 	}
-	in.mu.Lock()
 	if in.m == nil {
 		in.m = make(map[string]string) //certchain:coldpath first insert only
 	}
-	c, ok = in.m[s]
-	if !ok {
-		c = s
-		in.m[s] = s
-	}
-	in.mu.Unlock()
-	return c
+	in.m[s] = s
+	return s
 }
 
 // Len reports the number of distinct strings interned so far.
-func (in *Interner) Len() int {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	return len(in.m)
-}
+func (in *Interner) Len() int { return len(in.m) }

@@ -2,7 +2,6 @@ package certmodel
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"unsafe"
 )
@@ -101,43 +100,5 @@ func TestInternerSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state String allocated %.1f allocs/op, want 0", allocs)
-	}
-}
-
-// TestInternerConcurrent hammers one interner from concurrent shards (run
-// under -race in CI) and verifies every shard observed the same canonical
-// value per key.
-func TestInternerConcurrent(t *testing.T) {
-	var in Interner
-	const shards = 8
-	const keys = 100
-	results := make([][]string, shards)
-	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			out := make([]string, keys)
-			buf := make([]byte, 0, 32)
-			for round := 0; round < 50; round++ {
-				for k := 0; k < keys; k++ {
-					buf = append(buf[:0], "shared-key-"...)
-					buf = append(buf, byte('0'+k/10), byte('0'+k%10))
-					out[k] = in.Bytes(buf)
-				}
-			}
-			results[s] = out
-		}(s)
-	}
-	wg.Wait()
-	for s := 1; s < shards; s++ {
-		for k := 0; k < keys; k++ {
-			if !sameStringData(results[0][k], results[s][k]) {
-				t.Fatalf("shard %d key %d: non-canonical value", s, k)
-			}
-		}
-	}
-	if in.Len() != keys {
-		t.Fatalf("Len() = %d, want %d", in.Len(), keys)
 	}
 }

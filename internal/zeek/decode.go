@@ -23,11 +23,16 @@ import (
 // stream errors, byte for byte (pinned by the differential fuzzers in
 // equiv_fuzz_test.go).
 //
+// FastJoin is the one-worker case of FoldBlocks: the same splitter cuts
+// each log into newline-aligned blocks, and one joiner decodes them in
+// place, in file order, calling fn for every row.
+//
 // Allocation economy comes from three reuses, which change the retention
 // contract relative to Join:
 //
 //   - The *Connection and its SSL record are pooled: they are only valid
-//     until fn returns, as is the CertChainFUIDs slice. Field string values
+//     until fn returns, as is the CertChainFUIDs slice (read-only: the
+//     next row may reuse it unchanged). Field string values
 //     (and the Chain) may be retained freely.
 //   - Chain values are canonical: every connection delivering the same
 //     certificate sequence shares one Chain slice (read-only by contract,
@@ -36,12 +41,7 @@ import (
 //     interned per call; certificates parse their DNs once per distinct
 //     string.
 func FastJoin(ssl, x509 io.Reader, fn func(c *Connection, err error) error) error {
-	j := newFastJoiner()
-	certs, err := j.indexX509TSV(newTSVScanner(x509))
-	if err != nil {
-		return err
-	}
-	return j.joinSSLTSV(newTSVScanner(ssl), certs, fn)
+	return fastJoin(ssl, x509, false, fn)
 }
 
 // FastJoinJSON is FastJoin for Zeek's ND-JSON log format. Well-formed flat
@@ -50,17 +50,27 @@ func FastJoin(ssl, x509 io.Reader, fn func(c *Connection, err error) error) erro
 // through the legacy full-line path, so behaviour — including error text —
 // is identical to JoinJSON on every input.
 func FastJoinJSON(ssl, x509 io.Reader, fn func(c *Connection, err error) error) error {
-	j := newFastJoiner()
-	certs, err := j.indexX509JSON(newJSONScanner(x509))
+	return fastJoin(ssl, x509, true, fn)
+}
+
+func fastJoin(ssl, x509 io.Reader, json bool, fn func(c *Connection, err error) error) error {
+	certs, err := indexCerts(x509, json)
 	if err != nil {
 		return err
 	}
-	return j.joinSSLJSON(newJSONScanner(ssl), certs, fn)
+	j := newFastJoiner()
+	return eachBlock(ssl, json, func(b *block, base int) (int, error) {
+		return j.join(json, b, base, certs, fn)
+	})
 }
 
-// fastJoiner carries the per-call reusable state: interners, the canonical
-// chain cache, the pooled connection/record pair, and scratch buffers.
+// fastJoiner carries one decode stream's reusable state: the scanners, the
+// interners, the canonical chain cache, the pooled connection/record pair,
+// and scratch buffers. It is owned by one goroutine: every block worker has
+// its own.
 type fastJoiner struct {
+	tsv     tsvScanner
+	json    jsonScanner
 	strs    certmodel.Interner
 	dns     dn.Interner
 	chains  map[string]certmodel.Chain
@@ -70,6 +80,39 @@ type fastJoiner struct {
 	conn    Connection
 	ssl     SSLRecord
 	x509    x509Row
+
+	// One-entry memos: consecutive rows repeat most values (a campus's
+	// versions and ciphers, one server's endpoint, SNI and chain across its
+	// connections), and a hit costs one comparison instead of a map probe.
+	memo      [numMemos]string // last interned value per string field ...
+	memoRaw   [numMemos][]byte // ... and its bytes
+	fuidsRaw  []byte           // the TSV chain column j.fuids was split from
+	lastKey   []byte           // chainFor's last resolved key ...
+	lastChain certmodel.Chain  // ... and its canonical chain
+}
+
+// Memo slots for fastJoiner.memo, one per interned scalar field.
+const (
+	memoOrigH = iota
+	memoRespH
+	memoVersion
+	memoCipher
+	memoServerName
+	memoKeyAlg
+	memoSigAlg
+	memoKeyType
+	numMemos
+	noIntern = -1 // jsonString: return a fresh string, not an interned one
+)
+
+// intern returns the canonical string for v through the memo slot m.
+func (j *fastJoiner) intern(v []byte, m int) string {
+	if bytes.Equal(v, j.memoRaw[m]) {
+		return j.memo[m]
+	}
+	j.memoRaw[m] = append(j.memoRaw[m][:0], v...)
+	j.memo[m] = j.strs.Bytes(v)
+	return j.memo[m]
 }
 
 func newFastJoiner() *fastJoiner {
@@ -109,7 +152,12 @@ func (j *fastJoiner) chainFor(certs map[string]*certmodel.Meta, uid string, fuid
 		j.keyBuf = append(j.keyBuf, ':')
 		j.keyBuf = append(j.keyBuf, f...)
 	}
+	if len(j.lastKey) > 0 && bytes.Equal(j.keyBuf, j.lastKey) {
+		return j.lastChain, nil
+	}
 	if ch, ok := j.chains[string(j.keyBuf)]; ok {
+		j.lastKey = append(j.lastKey[:0], j.keyBuf...)
+		j.lastChain = ch
 		return ch, nil
 	}
 	ch := make(certmodel.Chain, 0, len(fuids))
@@ -121,6 +169,8 @@ func (j *fastJoiner) chainFor(certs map[string]*certmodel.Meta, uid string, fuid
 		ch = append(ch, m)
 	}
 	j.chains[string(j.keyBuf)] = ch
+	j.lastKey = append(j.lastKey[:0], j.keyBuf...)
+	j.lastChain = ch
 	return ch, nil
 }
 
@@ -265,27 +315,30 @@ func (c *x509Cols) refresh(s *tsvScanner) {
 	}
 }
 
-func (j *fastJoiner) joinSSLTSV(s *tsvScanner, certs map[string]*certmodel.Meta, fn func(*Connection, error) error) error {
+// joinSSLTSV joins one ssl block and returns the number of lines it holds.
+func (j *fastJoiner) joinSSLTSV(b *block, base int, certs map[string]*certmodel.Meta, fn func(*Connection, error) error) (int, error) {
+	s := &j.tsv
+	s.reset(b, base)
 	cols := sslCols{gen: -1}
 	for {
 		ok, err := s.scan()
 		if err != nil {
-			return err
+			return 0, err
 		}
 		if !ok {
-			return nil
+			return s.line - base, nil
 		}
 		if cols.gen != s.gen {
-			cols.refresh(s) //certchain:coldpath once per #fields directive
+			cols.refresh(s) //certchain:coldpath once per #fields directive and block
 		}
 		if rowErr := j.parseSSLTSV(s, &cols); rowErr != nil {
 			if cbErr := fn(nil, rowErr); cbErr != nil {
-				return cbErr
+				return 0, cbErr
 			}
 			continue
 		}
 		if err := j.deliver(certs, &j.ssl, fn); err != nil {
-			return err
+			return 0, err
 		}
 	}
 }
@@ -302,41 +355,47 @@ func (j *fastJoiner) parseSSLTSV(s *tsvScanner, c *sslCols) error {
 		return errSSLMissingUID
 	}
 	r.UID = string(uid)
-	r.OrigH = j.internField(s, c.origH)
+	r.OrigH = j.internField(s, c.origH, memoOrigH)
 	r.OrigP, _ = s.fieldInt(c.origP)
-	r.RespH = j.internField(s, c.respH)
+	r.RespH = j.internField(s, c.respH, memoRespH)
 	r.RespP, _ = s.fieldInt(c.respP)
-	r.Version = j.internField(s, c.version)
-	r.Cipher = j.internField(s, c.cipher)
-	r.ServerName = j.internField(s, c.serverName)
+	r.Version = j.internField(s, c.version, memoVersion)
+	r.Cipher = j.internField(s, c.cipher, memoCipher)
+	r.ServerName = j.internField(s, c.serverName, memoServerName)
 	r.Resumed, _ = s.fieldBool(c.resumed)
 	r.Established, _ = s.fieldBool(c.established)
 	r.CertChainFUIDs = j.vectorScratch(s, c.chain)
 	return nil
 }
 
-// internField reads a scalar string column into the interner; absent fields
-// become "" exactly as Record.Get's callers see them.
-func (j *fastJoiner) internField(s *tsvScanner, c int) string {
+// internField reads a scalar string column into the interner through memo
+// slot m; absent fields become "" exactly as Record.Get's callers see them.
+func (j *fastJoiner) internField(s *tsvScanner, c, m int) string {
 	v, ok := s.field(c)
 	if !ok {
 		return ""
 	}
-	return j.strs.Bytes(v)
+	return j.intern(v, m)
 }
 
 // vectorScratch splits a vector column into the reused fuid scratch slice
-// (valid until the next row), interning each element.
+// (valid until the next row), interning each element. A column equal to the
+// previous row's returns the previous split.
 func (j *fastJoiner) vectorScratch(s *tsvScanner, c int) []string {
 	v, ok := s.field(c)
 	if !ok || len(v) == 0 {
 		return nil
 	}
+	if bytes.Equal(v, j.fuidsRaw) {
+		return j.fuids
+	}
+	j.fuidsRaw = append(j.fuidsRaw[:0], v...)
 	j.fuids = j.fuids[:0]
 	for {
 		i := bytes.IndexByte(v, ',')
 		if i < 0 {
-			return append(j.fuids, j.strs.Bytes(v))
+			j.fuids = append(j.fuids, j.strs.Bytes(v))
+			return j.fuids
 		}
 		j.fuids = append(j.fuids, j.strs.Bytes(v[:i]))
 		v = v[i+1:]
@@ -361,19 +420,22 @@ func (j *fastJoiner) vectorFresh(s *tsvScanner, c int) []string {
 	}
 }
 
-func (j *fastJoiner) indexX509TSV(s *tsvScanner) (map[string]*certmodel.Meta, error) {
-	out := make(map[string]*certmodel.Meta)
+// indexX509TSV folds one x509 block into out and returns the number of
+// lines it holds.
+func (j *fastJoiner) indexX509TSV(b *block, base int, out map[string]*certmodel.Meta) (int, error) {
+	s := &j.tsv
+	s.reset(b, base)
 	cols := x509Cols{gen: -1}
 	for {
 		ok, err := s.scan()
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		if !ok {
-			return out, nil
+			return s.line - base, nil
 		}
 		if cols.gen != s.gen {
-			cols.refresh(s) //certchain:coldpath once per #fields directive
+			cols.refresh(s) //certchain:coldpath once per #fields directive and block
 		}
 		row := &j.x509
 		*row = x509Row{}
@@ -384,13 +446,13 @@ func (j *fastJoiner) indexX509TSV(s *tsvScanner) (map[string]*certmodel.Meta, er
 		row.issuer, _ = s.field(cols.issuer)
 		row.nvb, _ = s.fieldTime(cols.nvb)
 		row.nva, _ = s.fieldTime(cols.nva)
-		row.sigAlg = j.internField(s, cols.sigAlg)
-		row.keyType = j.internField(s, cols.keyType)
+		row.sigAlg = j.internField(s, cols.sigAlg, memoSigAlg)
+		row.keyType = j.internField(s, cols.keyType, memoKeyType)
 		row.keyLen, _ = s.fieldInt(cols.keyLen)
 		row.bcVal, row.bcSet = s.fieldBool(cols.bc)
 		row.san = j.vectorFresh(s, cols.san)
 		if err := j.buildMeta(out, row); err != nil {
-			return nil, err
+			return 0, err
 		}
 	}
 }
@@ -445,8 +507,9 @@ var x509JSONKey = map[string]int{
 
 // jsonString parses a scalar string value with Record.Get's sentinel
 // semantics: null and the unset sentinel yield "", as does the empty
-// sentinel and the empty string. ok=false sends the line to the fallback.
-func (j *fastJoiner) jsonString(t *jsonTok, intern bool) (string, bool) {
+// sentinel and the empty string. The value is interned through memo slot m
+// unless m is noIntern. ok=false sends the line to the fallback.
+func (j *fastJoiner) jsonString(t *jsonTok, m int) (string, bool) {
 	switch t.peek() {
 	case '"':
 		s, ok := t.simpleString()
@@ -456,8 +519,8 @@ func (j *fastJoiner) jsonString(t *jsonTok, intern bool) (string, bool) {
 		if len(s) == 0 || string(s) == UnsetField || string(s) == EmptyField {
 			return "", true
 		}
-		if intern {
-			return j.strs.Bytes(s), true
+		if m != noIntern {
+			return j.intern(s, m), true
 		}
 		return string(s), true
 	case 'n':
@@ -567,7 +630,7 @@ func (j *fastJoiner) jsonVector(t *jsonTok, dst []string) ([]string, bool) {
 func legacyJSONRecord(line []byte, lineNo int) (Record, error) {
 	var raw map[string]any
 	if err := json.Unmarshal(line, &raw); err != nil {
-		return nil, fmt.Errorf("zeek: json line %d: %w", lineNo, err) //certchain:coldpath malformed-line error path
+		return nil, &lineError{prefix: "zeek: json line", line: lineNo, err: err}
 	}
 	rec := make(Record, len(raw))
 	for k, v := range raw {
@@ -606,11 +669,11 @@ func (j *fastJoiner) parseSSLJSONFast(line []byte) (rowErr error, fastOK bool) {
 					return nil, false
 				}
 			case jkUID:
-				if r.UID, ok = j.jsonString(&t, false); !ok {
+				if r.UID, ok = j.jsonString(&t, noIntern); !ok {
 					return nil, false
 				}
 			case jkOrigH:
-				if r.OrigH, ok = j.jsonString(&t, true); !ok {
+				if r.OrigH, ok = j.jsonString(&t, memoOrigH); !ok {
 					return nil, false
 				}
 			case jkOrigP:
@@ -618,7 +681,7 @@ func (j *fastJoiner) parseSSLJSONFast(line []byte) (rowErr error, fastOK bool) {
 					return nil, false
 				}
 			case jkRespH:
-				if r.RespH, ok = j.jsonString(&t, true); !ok {
+				if r.RespH, ok = j.jsonString(&t, memoRespH); !ok {
 					return nil, false
 				}
 			case jkRespP:
@@ -626,15 +689,15 @@ func (j *fastJoiner) parseSSLJSONFast(line []byte) (rowErr error, fastOK bool) {
 					return nil, false
 				}
 			case jkVersion:
-				if r.Version, ok = j.jsonString(&t, true); !ok {
+				if r.Version, ok = j.jsonString(&t, memoVersion); !ok {
 					return nil, false
 				}
 			case jkCipher:
-				if r.Cipher, ok = j.jsonString(&t, true); !ok {
+				if r.Cipher, ok = j.jsonString(&t, memoCipher); !ok {
 					return nil, false
 				}
 			case jkServerName:
-				if r.ServerName, ok = j.jsonString(&t, true); !ok {
+				if r.ServerName, ok = j.jsonString(&t, memoServerName); !ok {
 					return nil, false
 				}
 			case jkResumed:
@@ -681,41 +744,44 @@ func (j *fastJoiner) parseSSLJSONFast(line []byte) (rowErr error, fastOK bool) {
 	return nil, true
 }
 
-func (j *fastJoiner) joinSSLJSON(s *jsonScanner, certs map[string]*certmodel.Meta, fn func(*Connection, error) error) error {
+// joinSSLJSON joins one ssl block and returns the number of lines it holds.
+func (j *fastJoiner) joinSSLJSON(b *block, base int, certs map[string]*certmodel.Meta, fn func(*Connection, error) error) (int, error) {
+	s := &j.json
+	s.reset(b, base)
 	for {
 		ok, err := s.scan()
 		if err != nil {
-			return err
+			return 0, err
 		}
 		if !ok {
-			return nil
+			return s.line - base, nil
 		}
 		rowErr, fastOK := j.parseSSLJSONFast(s.cur)
 		if !fastOK {
 			rec, err := legacyJSONRecord(s.cur, s.line) //certchain:coldpath anomalous-line fallback
 			if err != nil {
-				return err
+				return 0, err
 			}
 			sr, rowErr := ParseSSLRecord(rec)
 			if rowErr != nil {
 				if cbErr := fn(nil, rowErr); cbErr != nil {
-					return cbErr
+					return 0, cbErr
 				}
 				continue
 			}
 			if err := j.deliver(certs, sr, fn); err != nil {
-				return err
+				return 0, err
 			}
 			continue
 		}
 		if rowErr != nil {
 			if cbErr := fn(nil, rowErr); cbErr != nil {
-				return cbErr
+				return 0, cbErr
 			}
 			continue
 		}
 		if err := j.deliver(certs, &j.ssl, fn); err != nil {
-			return err
+			return 0, err
 		}
 	}
 }
@@ -772,15 +838,15 @@ func (j *fastJoiner) parseX509JSONFast(line []byte) (row *x509Row, fastOK bool) 
 					return nil, false
 				}
 			case jkKeyAlg:
-				if _, ok = j.jsonString(&t, true); !ok {
+				if _, ok = j.jsonString(&t, memoKeyAlg); !ok {
 					return nil, false
 				}
 			case jkSigAlg:
-				if row.sigAlg, ok = j.jsonString(&t, true); !ok {
+				if row.sigAlg, ok = j.jsonString(&t, memoSigAlg); !ok {
 					return nil, false
 				}
 			case jkKeyType:
-				if row.keyType, ok = j.jsonString(&t, true); !ok {
+				if row.keyType, ok = j.jsonString(&t, memoKeyType); !ok {
 					return nil, false
 				}
 			case jkKeyLen:
@@ -852,38 +918,41 @@ func (j *fastJoiner) jsonRawString(t *jsonTok) ([]byte, bool) {
 	return nil, false
 }
 
-func (j *fastJoiner) indexX509JSON(s *jsonScanner) (map[string]*certmodel.Meta, error) {
-	out := make(map[string]*certmodel.Meta)
+// indexX509JSON folds one x509 block into out and returns the number of
+// lines it holds.
+func (j *fastJoiner) indexX509JSON(b *block, base int, out map[string]*certmodel.Meta) (int, error) {
+	s := &j.json
+	s.reset(b, base)
 	for {
 		ok, err := s.scan()
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		if !ok {
-			return out, nil
+			return s.line - base, nil
 		}
 		row, fastOK := j.parseX509JSONFast(s.cur)
 		if !fastOK {
 			rec, err := legacyJSONRecord(s.cur, s.line) //certchain:coldpath anomalous-line fallback
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
 			xr, err := ParseX509Record(rec)
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
 			if _, dup := out[xr.ID]; dup {
 				continue
 			}
 			m, err := xr.ToMeta()
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
 			out[xr.ID] = m
 			continue
 		}
 		if err := j.buildMeta(out, row); err != nil {
-			return nil, err
+			return 0, err
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -12,9 +13,11 @@ import (
 	"certchains/internal/dn"
 )
 
-// The differential wall: FastJoin/FastJoinJSON are pinned byte-identical to
-// Join/JoinJSON — same joined rows in the same order, same per-row errors,
-// same stream errors, on ANY input — with the legacy decoder as the oracle.
+// The differential wall: FastJoin/FastJoinJSON and the block-parallel
+// FoldBlocks/FoldBlocksJSON are pinned byte-identical to Join/JoinJSON —
+// same joined rows in the same order, same per-row errors, same stream
+// errors, on ANY input and at any block size — with the legacy decoder as
+// the oracle.
 
 // metaSnap is a comparable deep view of a Meta. Meta itself carries
 // unexported atomic memo fields, so reflect.DeepEqual on *Meta would compare
@@ -72,6 +75,53 @@ func collectJoin(join joinFunc, ssl, x509 string) (events []connSnap, streamErr 
 	return events, streamErr
 }
 
+// foldJoin runs the block-parallel join and replays each block's rows to fn
+// as the block merges, so collectJoin sees the merge order. Rows are copied
+// out of the pooled record in Fold, as any retaining consumer must.
+func foldJoin(json bool) joinFunc {
+	type event struct {
+		c   *Connection
+		err error
+	}
+	return func(ssl, x509 io.Reader, fn func(*Connection, error) error) error {
+		return foldBlocks(ssl, x509, json, BlockFold[*[]event]{
+			New: func() *[]event { return new([]event) },
+			Fold: func(a *[]event, c *Connection, err error) {
+				if err != nil {
+					*a = append(*a, event{err: err})
+					return
+				}
+				r := *c.SSL
+				r.CertChainFUIDs = slices.Clone(r.CertChainFUIDs)
+				*a = append(*a, event{c: &Connection{SSL: &r, Chain: c.Chain}})
+			},
+			Merge: func(a *[]event) error {
+				for _, e := range *a {
+					if err := fn(e.c, e.err); err != nil {
+						return err
+					}
+				}
+				*a = (*a)[:0]
+				return nil
+			},
+		})
+	}
+}
+
+// diffTSV pins FastJoin and FoldBlocks to Join on one input.
+func diffTSV(t *testing.T, ssl, x509 string) {
+	t.Helper()
+	diffJoins(t, Join, FastJoin, ssl, x509)
+	diffJoins(t, Join, foldJoin(false), ssl, x509)
+}
+
+// diffJSON pins FastJoinJSON and FoldBlocksJSON to JoinJSON on one input.
+func diffJSON(t *testing.T, ssl, x509 string) {
+	t.Helper()
+	diffJoins(t, JoinJSON, FastJoinJSON, ssl, x509)
+	diffJoins(t, JoinJSON, foldJoin(true), ssl, x509)
+}
+
 func diffJoins(t *testing.T, legacy, fast joinFunc, ssl, x509 string) {
 	t.Helper()
 	wantEv, wantErr := collectJoin(legacy, ssl, x509)
@@ -117,15 +167,24 @@ var tsvSeedCases = [][2]string{
 	{tsvSSLHeader + "1.0\tC\\x5c1\t\\xZZ\t1\t\\x\t2\t\\\t-\t\\x2D\tT\tT\t-\n", tsvX509Header},
 }
 
+// seedBlockSizes are the block sizes every seed case replays at: one byte,
+// a few rows, and the production size.
+var seedBlockSizes = []int{1, 7, 64, 64 << 10}
+
+// The fuzzers choose the block size too (1–256 bytes), so rows, mid-stream
+// #fields directives, CRLFs, empty lines, unterminated tails and over-long
+// lines land on every side of every block boundary.
+
 func FuzzTSVDecodeEquivalence(f *testing.F) {
-	for _, c := range tsvSeedCases {
-		f.Add(c[0], c[1])
+	for i, c := range tsvSeedCases {
+		f.Add(c[0], c[1], uint8(i*37))
 	}
-	f.Fuzz(func(t *testing.T, ssl, x509 string) {
+	f.Fuzz(func(t *testing.T, ssl, x509 string, bs uint8) {
 		if len(ssl)+len(x509) > 1<<16 {
 			t.Skip("oversized input")
 		}
-		diffJoins(t, Join, FastJoin, ssl, x509)
+		defer setBlockSize(1 + int(bs))()
+		diffTSV(t, ssl, x509)
 	})
 }
 
@@ -157,29 +216,41 @@ var jsonSeedCases = [][2]string{
 }
 
 func FuzzJSONDecodeEquivalence(f *testing.F) {
-	for _, c := range jsonSeedCases {
-		f.Add(c[0], c[1])
+	for i, c := range jsonSeedCases {
+		f.Add(c[0], c[1], uint8(i*37))
 	}
-	f.Fuzz(func(t *testing.T, ssl, x509 string) {
+	f.Fuzz(func(t *testing.T, ssl, x509 string, bs uint8) {
 		if len(ssl)+len(x509) > 1<<16 {
 			t.Skip("oversized input")
 		}
-		diffJoins(t, JoinJSON, FastJoinJSON, ssl, x509)
+		defer setBlockSize(1 + int(bs))()
+		diffJSON(t, ssl, x509)
 	})
 }
 
-// TestFastJoinSeedEquivalence replays every fuzz seed deterministically so
-// the wall holds in plain `go test` runs, not only under `make fuzz`.
+// TestFastJoinSeedEquivalence replays every fuzz seed deterministically, at
+// every seed block size, so the wall holds in plain `go test` runs, not
+// only under `make fuzz`.
 func TestFastJoinSeedEquivalence(t *testing.T) {
 	for i, c := range tsvSeedCases {
 		t.Run(fmt.Sprintf("tsv-%d", i), func(t *testing.T) {
-			diffJoins(t, Join, FastJoin, c[0], c[1])
+			atSeedBlockSizes(func() { diffTSV(t, c[0], c[1]) })
 		})
 	}
 	for i, c := range jsonSeedCases {
 		t.Run(fmt.Sprintf("json-%d", i), func(t *testing.T) {
-			diffJoins(t, JoinJSON, FastJoinJSON, c[0], c[1])
+			atSeedBlockSizes(func() { diffJSON(t, c[0], c[1]) })
 		})
+	}
+}
+
+// atSeedBlockSizes runs check once at every seed block size.
+func atSeedBlockSizes(check func()) {
+	for _, bs := range seedBlockSizes {
+		func() {
+			defer setBlockSize(bs)()
+			check()
+		}()
 	}
 }
 
@@ -233,16 +304,18 @@ func TestFastJoinGeneratedLogs(t *testing.T) {
 	}
 
 	ssl, x509 := sslBuf.String(), x509Buf.String()
-	diffJoins(t, Join, FastJoin, ssl, x509)
+	atSeedBlockSizes(func() {
+		diffTSV(t, ssl, x509)
 
-	// Truncate the ssl stream at every offset across its final 200 bytes:
-	// the mid-write tolerance must match cut by cut.
-	for cut := len(ssl) - 200; cut < len(ssl); cut++ {
-		diffJoins(t, Join, FastJoin, ssl[:cut], x509)
-	}
-	for cut := len(x509) - 200; cut < len(x509); cut++ {
-		diffJoins(t, Join, FastJoin, ssl, x509[:cut])
-	}
+		// Truncate the ssl stream at every offset across its final 200
+		// bytes: the mid-write tolerance must match cut by cut.
+		for cut := len(ssl) - 200; cut < len(ssl); cut++ {
+			diffTSV(t, ssl[:cut], x509)
+		}
+		for cut := len(x509) - 200; cut < len(x509); cut++ {
+			diffTSV(t, ssl, x509[:cut])
+		}
+	})
 }
 
 // TestFastJoinJSONGeneratedLines covers the JSON fast path and its fallback
@@ -259,7 +332,7 @@ func TestFastJoinJSONGeneratedLines(t *testing.T) {
 	}
 	ssl.WriteString(`{"ts":1700000999,"uid":"Cmiss","cert_chain_fuids":["Fnope"]}` + "\n")
 	ssl.WriteString(`{"uid":"CnoTS"}` + "\n")
-	diffJoins(t, JoinJSON, FastJoinJSON, ssl.String(), x509.String())
+	atSeedBlockSizes(func() { diffJSON(t, ssl.String(), x509.String()) })
 }
 
 // TestFastJoinChainCanonical pins the chain-interning contract: every

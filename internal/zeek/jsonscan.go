@@ -5,7 +5,6 @@ package zeek
 import (
 	"bufio"
 	"fmt"
-	"io"
 	"unicode/utf8"
 )
 
@@ -15,54 +14,28 @@ import (
 const maxJSONLine = 1 << 24
 
 // jsonScanner is the zero-allocation analogue of JSONReader's line loop: it
-// reads ND-JSON lines into a reused row buffer. Line accounting (empty
-// lines count), carriage-return stripping, and the too-long and I/O error
-// strings are pinned byte-identical to JSONReader by the differential
-// fuzzer in equiv_fuzz_test.go.
+// walks one block of ND-JSON lines in place. Line accounting (empty lines
+// count), carriage-return stripping, and the too-long error string are
+// pinned byte-identical to JSONReader by the differential fuzzer in
+// equiv_fuzz_test.go.
 type jsonScanner struct {
-	br   *bufio.Reader
-	row  []byte
-	cur  []byte // current line view (row minus terminators)
+	rest []byte // the block's unscanned lines
+	cur  []byte // current line view (minus terminators)
 	line int
-	eof  bool
 }
 
-func newJSONScanner(r io.Reader) *jsonScanner {
-	return &jsonScanner{br: bufio.NewReaderSize(r, 1<<16)}
+// reset points the scanner at block b, whose first line follows base lines.
+func (s *jsonScanner) reset(b *block, base int) {
+	s.rest = b.data
+	s.line = base
 }
 
-func (s *jsonScanner) readLine() (terminated bool, err error) {
-	s.row = s.row[:0]
-	for {
-		chunk, err := s.br.ReadSlice('\n')
-		s.row = append(s.row, chunk...)
-		switch err {
-		case nil:
-			return true, nil
-		case bufio.ErrBufferFull:
-			continue
-		case io.EOF:
-			s.eof = true
-			return false, nil
-		default:
-			s.eof = true
-			return false, err //certchain:coldpath I/O error path
-		}
-	}
-}
-
-// scan advances to the next non-empty line. It returns false at end of
-// stream; the line is left in s.cur.
+// scan advances to the next non-empty line. It returns false at the end of
+// the block; the line is left in s.cur.
 func (s *jsonScanner) scan() (bool, error) {
-	for !s.eof {
-		terminated, err := s.readLine()
-		if err != nil {
-			return false, fmt.Errorf("zeek: json scan: %w", err) //certchain:coldpath I/O error path
-		}
-		row := s.row
-		if terminated {
-			row = row[:len(row)-1]
-		}
+	for len(s.rest) > 0 {
+		row, rest, terminated := cutLine(s.rest)
+		s.rest = rest
 		// The legacy Scanner rejects the token before stripping its \r.
 		if len(row) >= maxJSONLine {
 			return false, fmt.Errorf("zeek: json scan: %w", bufio.ErrTooLong) //certchain:coldpath malformed-stream error path

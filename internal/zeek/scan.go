@@ -3,70 +3,54 @@
 package zeek
 
 import (
-	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
-	"io"
 	"strconv"
 	"time"
 )
 
-// tsvScanner is the zero-allocation analogue of Reader: it reads a Zeek
-// ASCII log line by line into a reused row buffer and splits fields as byte
-// views, resolving escapes in place on access. Its observable behaviour —
-// line accounting, header handling, truncation tolerance, and every error
+// tsvScanner is the zero-allocation analogue of Reader: it walks one block
+// of a Zeek ASCII log in place, splitting each line into field views and
+// resolving escapes in place on access. Its observable behaviour — line
+// accounting, header handling, truncation tolerance, and every error
 // string — is pinned byte-identical to Reader by the differential fuzzers
 // in equiv_fuzz_test.go.
 type tsvScanner struct {
-	br   *bufio.Reader
-	row  []byte   // owned copy of the current line; cols alias it
-	cols [][]byte // field views into row, escapes resolved lazily per access
+	rest []byte    // the block's unscanned lines
+	row  []byte    // the current line
+	cols []colSpan // field bounds in row, escapes resolved lazily per access
 	// fields is the current #fields directive; gen bumps on every directive
-	// so decoders know to recompute their column indices.
+	// and every block so decoders know to recompute their column indices.
 	fields []string
 	gen    int
 	line   int
-	eof    bool
 }
 
-func newTSVScanner(r io.Reader) *tsvScanner {
-	return &tsvScanner{br: bufio.NewReaderSize(r, 1<<16)}
+// reset points the scanner at block b, whose first line follows base lines.
+func (s *tsvScanner) reset(b *block, base int) {
+	s.rest = b.data
+	s.fields = b.fields
+	s.gen++
+	s.line = base
 }
 
-// readLine accumulates one line into s.row and reports whether it was
-// newline-terminated. The row buffer is reused across lines.
-func (s *tsvScanner) readLine() (terminated bool, err error) {
-	s.row = s.row[:0]
-	for {
-		chunk, err := s.br.ReadSlice('\n')
-		s.row = append(s.row, chunk...)
-		switch err {
-		case nil:
-			return true, nil
-		case bufio.ErrBufferFull:
-			continue
-		case io.EOF:
-			s.eof = true
-			return false, nil
-		default:
-			s.eof = true
-			return false, err //certchain:coldpath I/O error path
-		}
+// cutLine splits the first line off rest and reports whether it was
+// newline-terminated; the line excludes the newline.
+func cutLine(rest []byte) (line, after []byte, terminated bool) {
+	if i := bytes.IndexByte(rest, '\n'); i >= 0 {
+		return rest[:i], rest[i+1:], true
 	}
+	return rest, nil, false
 }
 
 // scan advances to the next data row, handling directives and the same
-// mid-write tolerance Reader documents. It returns false at end of stream.
+// mid-write tolerance Reader documents. It returns false at the end of the
+// block.
 func (s *tsvScanner) scan() (bool, error) {
-	for !s.eof {
-		terminated, err := s.readLine()
-		if err != nil {
-			return false, fmt.Errorf("zeek: read: %w", err) //certchain:coldpath I/O error path
-		}
-		row := s.row
-		if terminated {
-			row = row[:len(row)-1]
-		}
+	for len(s.rest) > 0 {
+		row, rest, terminated := cutLine(s.rest)
+		s.rest = rest
 		if n := len(row); n > 0 && row[n-1] == '\r' {
 			row = row[:n-1]
 		}
@@ -79,11 +63,14 @@ func (s *tsvScanner) scan() (bool, error) {
 				// A directive fragment cut mid-write: not yet a directive.
 				continue
 			}
-			s.directive(row)
+			if f, ok := parseFieldsDirective(row); ok {
+				s.fields = f
+				s.gen++
+			}
 			continue
 		}
 		if len(s.fields) == 0 {
-			return false, fmt.Errorf("zeek: line %d: data before #fields header", s.line) //certchain:coldpath malformed-stream error path
+			return false, &lineError{prefix: "zeek: line", line: s.line, err: errDataBeforeHeader}
 		}
 		s.split(row)
 		if len(s.cols) != len(s.fields) {
@@ -91,27 +78,32 @@ func (s *tsvScanner) scan() (bool, error) {
 				// The writer is mid-record; the fragment is not data yet.
 				continue
 			}
-			return false, fmt.Errorf("zeek: line %d: %d values for %d fields", s.line, len(s.cols), len(s.fields)) //certchain:coldpath malformed-line error path
+			return false, &lineError{prefix: "zeek: line", line: s.line, err: fmt.Errorf("%d values for %d fields", len(s.cols), len(s.fields))} //certchain:coldpath malformed-line error path
 		}
 		return true, nil
 	}
 	return false, nil
 }
 
-// directive folds one '#'-prefixed header line. Only #fields affects the
-// join; other directives (#separator, #types, #close, ...) are ignored
-// exactly as parseDirective ignores them for record decoding.
-func (s *tsvScanner) directive(row []byte) {
+var errDataBeforeHeader = errors.New("data before #fields header")
+
+// fieldsDirective starts the one directive that affects the join.
+var fieldsDirective = []byte("#fields")
+
+// parseFieldsDirective parses a '#'-prefixed header line (without its line
+// terminators) if it is a #fields directive. Other directives (#separator,
+// #types, #close, ...) are ignored exactly as parseDirective ignores them
+// for record decoding.
+func parseFieldsDirective(row []byte) ([]string, bool) {
 	const prefix = "#fields\t"
 	switch {
 	case len(row) >= len(prefix) && string(row[:len(prefix)]) == prefix:
-		s.fields = splitFields(string(row[len(prefix):]))
-		s.gen++
+		return splitFields(string(row[len(prefix):])), true
 	case string(row) == "#fields": //certchain:coldpath once per directive line, not per record
 		// SplitN yields an empty rest, which Split maps to one empty name.
-		s.fields = []string{""}
-		s.gen++
+		return []string{""}, true
 	}
+	return nil, false
 }
 
 // splitFields is strings.Split(rest, Separator) — one empty name for an
@@ -137,17 +129,23 @@ func indexByteString(s string, c byte) int {
 	return -1
 }
 
-// split cuts row into tab-separated field views without copying.
+// colSpan bounds one field of the current line. Bounds rather than views
+// keep the per-field bookkeeping pointer-free.
+type colSpan struct{ lo, hi int }
+
+// split cuts row into tab-separated fields without copying.
 func (s *tsvScanner) split(row []byte) {
+	s.row = row
 	s.cols = s.cols[:0]
+	lo := 0
 	for {
-		i := bytes.IndexByte(row, '\t')
+		i := bytes.IndexByte(row[lo:], '\t')
 		if i < 0 {
-			s.cols = append(s.cols, row)
+			s.cols = append(s.cols, colSpan{lo, len(row)})
 			return
 		}
-		s.cols = append(s.cols, row[:i])
-		row = row[i+1:]
+		s.cols = append(s.cols, colSpan{lo, lo + i})
+		lo += i + 1
 	}
 }
 
@@ -160,8 +158,9 @@ func (s *tsvScanner) field(c int) ([]byte, bool) {
 	if c < 0 {
 		return nil, false
 	}
-	v := unescapeInPlace(s.cols[c])
-	s.cols[c] = v
+	sp := &s.cols[c]
+	v := unescapeInPlace(s.row[sp.lo:sp.hi])
+	sp.hi = sp.lo + len(v)
 	if string(v) == UnsetField {
 		return nil, false
 	}
