@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race bench bench-ratchet fuzz report experiments ingest-smoke obs-smoke dist-smoke serve-smoke chaos clean
+.PHONY: all build vet lint test race bench bench-check bench-ratchet fuzz report experiments ingest-smoke obs-smoke dist-smoke serve-smoke chaos clean
 
 all: build vet lint test
 
@@ -112,6 +112,12 @@ bench:
 	$(GO) test -bench=. -benchmem .
 	$(GO) run ./cmd/pipeline-bench -out BENCH_pipeline.json
 	$(GO) run ./cmd/serve-bench -out BENCH_serve.json
+
+# The benchmark (certbench/) is its own module, so the root `go test ./...`
+# never compiles it; vet and short-test it against the checkout's analysis
+# API so an API change that breaks the benchmark fails here, not at run time.
+bench-check:
+	cd certbench && $(GO) vet ./... && $(GO) test -short ./...
 
 # CI gate on pipeline performance: replay the benchmark harness with the
 # committed baseline's parameters and fail on >10% observe records/sec

@@ -49,7 +49,7 @@ func benchSetup(b *testing.B) (*campus.Scenario, *analysis.Report) {
 			panic(err)
 		}
 		benchScenario = s
-		benchReport = analysis.FromScenario(s).Run(s.Observations)
+		benchReport = analysis.FromScenario(s).RunParallel(s.Observations, 0)
 	})
 	return benchScenario, benchReport
 }
@@ -98,7 +98,7 @@ func BenchmarkTable2_ChainStats(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := p.Run(s.Observations)
+		r := p.RunParallel(s.Observations, 0)
 		if r.Table2.PerCategory[chain.Hybrid].Chains != 321 {
 			b.Fatal("hybrid chain count drifted")
 		}
@@ -291,7 +291,7 @@ func BenchmarkFigure1_ChainLengthCDF(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := analysis.FromScenario(s).Run(s.Observations)
+		r := analysis.FromScenario(s).RunParallel(s.Observations, 0)
 		if r.Figure1.CDF[chain.NonPublicDBOnly].Share(1) < 0.70 {
 			b.Fatal("Figure 1 non-public single-cert share drifted")
 		}
@@ -310,7 +310,7 @@ func BenchmarkFigure4_ContainsPathStructures(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep := p.Run(s.Observations)
+		rep := p.RunParallel(s.Observations, 0)
 		if len(rep.Figure4.Chains) != 70 {
 			b.Fatalf("Figure 4 has %d chains", len(rep.Figure4.Chains))
 		}

@@ -194,9 +194,10 @@ func NewPipeline(db *TrustDB, ct *CTLog, cl *Classifier, reg *intercept.Registry
 	return analysis.NewPipeline(db, ct, cl, reg)
 }
 
-// Analyze runs the full pipeline over a scenario's observations.
+// Analyze runs the full pipeline over a scenario's observations at
+// GOMAXPROCS workers.
 func Analyze(s *Scenario) *Report {
-	return analysis.FromScenario(s).Run(s.Observations)
+	return analysis.FromScenario(s).RunParallel(s.Observations, 0)
 }
 
 // RevisitReport is the §5 then-vs-now comparison.

@@ -66,7 +66,6 @@ func run() error {
 		window     = flag.Duration("window", analysis.DefaultWindowInterval, "analysis window interval")
 		buckets    = flag.Int("buckets", analysis.DefaultWindowBuckets, "live windows kept before spilling to the all-time aggregate")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "fold worker count; any value produces identical reports")
-		batch      = flag.Int("batch", 0, "streaming handoff batch size (0 = default); any value produces identical reports")
 		certCap    = flag.Int("cert-cap", 0, "join certificate index cap (0 = default, negative = unbounded)")
 		pendingCap = flag.Int("pending-cap", 0, "join pending-connection cap (0 = default, negative = unbounded)")
 		snapshot   = flag.String("snapshot", "", "state snapshot path (enables resume across restarts)")
@@ -128,7 +127,6 @@ func run() error {
 		return err
 	}
 	pipeline := analysis.FromScenario(scenario)
-	pipeline.Batch = *batch
 	if *lintPro != "" {
 		pipeline.Linter = lint.New(scenario.Classifier, lint.Config{
 			Now:     scenario.End(),

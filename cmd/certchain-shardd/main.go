@@ -53,7 +53,6 @@ func run() error {
 		format     = flag.String("format", "tsv", "partition log format: tsv or json")
 		lintPro    = flag.String("lint", "", "lint every chain; value is the check profile (paper, strict, all); must match the coordinator")
 		goroutines = flag.Int("goroutines", 0, "in-process pool width per partition (0 = GOMAXPROCS); any value produces identical state")
-		batch      = flag.Int("batch", 0, "streaming handoff batch size (0 = default); any value produces identical state")
 		throttle   = flag.Duration("throttle", 0, "sleep this long before each observation (chaos/testing knob)")
 		logFormat  = flag.String("log-format", "text", "log format: text or json")
 		logLevel   = flag.String("log-level", "info", "log level: debug, info, warn, error")
@@ -88,7 +87,6 @@ func run() error {
 		return err
 	}
 	pipeline := analysis.FromScenario(scenario)
-	pipeline.Batch = *batch
 	if *lintPro != "" {
 		pipeline.Linter = lint.New(scenario.Classifier, lint.Config{
 			Now:     scenario.End(),
@@ -118,7 +116,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: worker.Handler()}
+	srv := &http.Server{Handler: worker.Handler(), ReadHeaderTimeout: 5 * time.Second}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
 	logger.Info("shard worker up", "name", workerName, "addr", fmt.Sprintf("http://%s", ln.Addr()))

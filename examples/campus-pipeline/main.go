@@ -70,7 +70,7 @@ func run() error {
 	fmt.Printf("reloaded %d observations from %s\n\n", len(observations), dir)
 
 	pipeline := certchains.NewPipeline(scenario.DB, scenario.CT, scenario.Classifier, scenario.InterceptRegistry)
-	report := pipeline.Run(observations)
+	report := pipeline.RunParallel(observations, 0) // 0 workers = GOMAXPROCS
 	fmt.Print(report.Render())
 
 	fmt.Println()

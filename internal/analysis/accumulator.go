@@ -144,27 +144,19 @@ func (p *Pipeline) DecodeState(data []byte) (*Accumulator, error) {
 	return &Accumulator{pr: pr, n: st.Observations}, nil
 }
 
-// AccumulateStream consumes a producer channel through a dispatcher and
-// worker pool and returns the merged (unfinalized) accumulator — RunStream
-// without the finalize, which is what a distributed worker ships upstream.
-// Sequence tags follow producer order, so the result finalizes
-// byte-identically at any worker count. Spans go to the pipeline's tracer.
-func (p *Pipeline) AccumulateStream(observations <-chan *campus.Observation, workers int) *Accumulator {
-	return p.AccumulateStreamTracer(observations, workers, p.Tracer)
-}
+// handoffBatch is the number of observations per worker handoff: RunParallel
+// cuts its input into sub-slices this long and Rechunk groups a
+// per-observation stream into batches this long. Batching only amortizes
+// channel sends and never changes output; tests vary it through
+// export_test.go to pin every size byte-identical.
+var handoffBatch = 64
 
-// AccumulateStreamTracer is AccumulateStream with an explicit tracer: a
-// distributed worker ingesting several partitions concurrently gives each
-// one its own tracer (its span set ships upstream per partition), which a
-// shared Pipeline.Tracer could not keep apart. A nil tracer disables
-// tracing without touching the accumulation path.
-//
-// Internally the stream is re-chunked into batches of Pipeline.Batch
-// observations per worker handoff; batching only amortizes channel sends and
-// never changes output (the equivalence suite pins every batch size
-// byte-identical).
-func (p *Pipeline) AccumulateStreamTracer(observations <-chan *campus.Observation, workers int, tracer *obs.Tracer) *Accumulator {
-	size := p.normalizeBatch()
+// Rechunk groups a per-observation stream into handoff batches for
+// Accumulate, closing the batch channel once the stream closes.
+func Rechunk(observations <-chan *campus.Observation) <-chan []*campus.Observation {
+	size := handoffBatch
+	// Two batches of slack let the producer fill the next batch while the
+	// dispatcher hands off the previous one.
 	batches := make(chan []*campus.Observation, 2)
 	go func() {
 		buf := make([]*campus.Observation, 0, size)
@@ -180,7 +172,7 @@ func (p *Pipeline) AccumulateStreamTracer(observations <-chan *campus.Observatio
 		}
 		close(batches)
 	}()
-	return p.AccumulateBatchesTracer(batches, workers, tracer)
+	return batches
 }
 
 // obsBatch is one worker handoff: a run of observations starting at global
@@ -190,16 +182,26 @@ type obsBatch struct {
 	obs   []*campus.Observation
 }
 
-// AccumulateBatchesTracer is the batch-native accumulation path: producers
-// that already hold observation slices hand them over whole, one channel
-// send per batch instead of per record. Sequence tags follow the
-// concatenation order of the incoming batches, so the result finalizes
-// byte-identically to the per-record stream over the same observations.
-func (p *Pipeline) AccumulateBatchesTracer(batches <-chan []*campus.Observation, workers int, tracer *obs.Tracer) *Accumulator {
+// Accumulate is the accumulation engine every runner shares: a dispatcher
+// tags each incoming batch with its global sequence start, `workers`
+// goroutines (0 or negative selects GOMAXPROCS) each fold the batches they
+// receive into a private partial, and the partials merge into one
+// unfinalized accumulator — what RunParallel and RunStream finalize and what
+// a distributed worker ships upstream. Sequence tags follow the
+// concatenation order of the batches and the merge is commutative, so the
+// result finalizes byte-identically at any worker count, batch size, or
+// schedule.
+//
+// Stage spans go to tracer, not Pipeline.Tracer, so a distributed worker can
+// give each concurrently ingested partition its own span set. A nil tracer
+// records nothing.
+func (p *Pipeline) Accumulate(batches <-chan []*campus.Observation, workers int, tracer *obs.Tracer) *Accumulator {
 	workers = normalizeWorkers(workers, -1)
 	det := intercept.NewDetector(p.DB, p.CT)
 	stage := tracer.Start("observe", "observe")
 
+	// A few batches of slack per worker keep a worker that finishes a batch
+	// from waiting on the dispatcher.
 	work := make(chan obsBatch, 4*workers)
 	// total is written only by the dispatcher, which exits before close(work);
 	// every worker observes that close before wg.Done, so the read after
@@ -242,18 +244,20 @@ func (p *Pipeline) AccumulateBatchesTracer(batches <-chan []*campus.Observation,
 	wg.Wait()
 	stage.SetRecords(total)
 	stage.End()
+	return &Accumulator{pr: mergePartials(tracer, partials), n: total}
+}
 
+// mergePartials folds the partials into the first, in order (any order
+// yields the same report), under a merge span. The span carries zero
+// records — merging reduces state rather than consuming input — which keeps
+// its deterministic-subset projection width-invariant even though a wider
+// run merges more partials.
+func mergePartials(tracer *obs.Tracer, partials []*partialReport) *partialReport {
 	msp := tracer.Start("merge", "merge").Arg("partials", int64(len(partials)))
+	defer msp.End()
 	merged := partials[0]
 	for _, pr := range partials[1:] {
 		merged.merge(pr)
 	}
-	msp.End()
-	return &Accumulator{pr: merged, n: total}
-}
-
-// AccumulateBatches is AccumulateBatchesTracer under the pipeline's own
-// tracer.
-func (p *Pipeline) AccumulateBatches(batches <-chan []*campus.Observation, workers int) *Accumulator {
-	return p.AccumulateBatchesTracer(batches, workers, p.Tracer)
+	return merged
 }

@@ -30,7 +30,7 @@ func sharedScenario(t *testing.T) (*campus.Scenario, *Report) {
 			t.Fatal(err)
 		}
 		scenario = s
-		report = FromScenario(s).Run(s.Observations)
+		report = FromScenario(s).RunParallel(s.Observations, 0)
 	})
 	if scenario == nil || report == nil {
 		t.Fatal("scenario initialization failed")

@@ -1,6 +1,6 @@
-// Batch-axis equivalence suite: the batched handoff (Pipeline.Batch and the
-// batch-native accumulation entry points) must reproduce the per-record
-// sequential report byte for byte — rendered text, JSON export, and the
+// Batch-axis equivalence suite: the batched handoff (the handoff batch size
+// RunParallel and RunStream cut their input into, and batches handed to
+// Accumulate directly) must reproduce the per-record sequential report byte for byte — rendered text, JSON export, and the
 // deterministic manifest subset — at every batch size, worker width, and
 // seed, including under injected read faults that cut batches mid-read.
 package analysis_test
@@ -49,10 +49,10 @@ func feedBatches(obs []*campus.Observation, b int) <-chan []*campus.Observation 
 	return ch
 }
 
-// TestBatchSizeEquivalence drives both batched entry points — RunStream with
-// Pipeline.Batch set (internal re-chunking) and RunStreamBatches over
-// pre-chunked slices — across the batch-size axis and checks both renderings
-// against the per-record sequential baseline.
+// TestBatchSizeEquivalence drives every batched path — RunStream (internal
+// re-chunking) and RunParallel (input sub-slices) at the handoff batch size,
+// and Accumulate over pre-chunked slices — across the batch-size axis and
+// checks every rendering against the per-record sequential baseline.
 func TestBatchSizeEquivalence(t *testing.T) {
 	seeds := []int64{1, 2, 3}
 	if testing.Short() {
@@ -68,28 +68,27 @@ func TestBatchSizeEquivalence(t *testing.T) {
 			baseText, baseJSON := renderings(t, baseline)
 
 			for _, b := range batchSizes {
+				restore := analysis.SetHandoffBatch(b)
 				for _, w := range widths {
-					p.Batch = b
-					r := p.RunStream(feedObservations(s.Observations), w)
-					text, js := renderings(t, r)
-					if text != baseText {
-						t.Errorf("seed %d batch=%d workers=%d: RunStream report differs from per-record baseline", seed, b, w)
-					}
-					if !bytes.Equal(js, baseJSON) {
-						t.Errorf("seed %d batch=%d workers=%d: RunStream JSON differs", seed, b, w)
-					}
-
-					r = p.RunStreamBatches(feedBatches(s.Observations, b), w)
-					text, js = renderings(t, r)
-					if text != baseText {
-						t.Errorf("seed %d batch=%d workers=%d: RunStreamBatches report differs from per-record baseline", seed, b, w)
-					}
-					if !bytes.Equal(js, baseJSON) {
-						t.Errorf("seed %d batch=%d workers=%d: RunStreamBatches JSON differs", seed, b, w)
+					for _, run := range []struct {
+						name string
+						r    *analysis.Report
+					}{
+						{"RunStream", p.RunStream(feedObservations(s.Observations), w)},
+						{"RunParallel", p.RunParallel(s.Observations, w)},
+						{"Accumulate", p.Accumulate(feedBatches(s.Observations, b), w, nil).Finalize()},
+					} {
+						text, js := renderings(t, run.r)
+						if text != baseText {
+							t.Errorf("seed %d batch=%d workers=%d: %s report differs from per-record baseline", seed, b, w, run.name)
+						}
+						if !bytes.Equal(js, baseJSON) {
+							t.Errorf("seed %d batch=%d workers=%d: %s JSON differs", seed, b, w, run.name)
+						}
 					}
 				}
+				restore()
 			}
-			p.Batch = 0
 		})
 	}
 }
@@ -106,12 +105,12 @@ func TestBatchManifestSubsetEquivalence(t *testing.T) {
 	run := func(b, w int) []byte {
 		tracer := obs.NewTracer()
 		p.Tracer = tracer
-		p.Batch = b
-		defer func() { p.Tracer = nil; p.Batch = 0 }()
+		defer func() { p.Tracer = nil }()
 		var r *analysis.Report
 		if b == 0 {
 			r = p.RunParallel(s.Observations, w)
 		} else {
+			defer analysis.SetHandoffBatch(b)()
 			r = p.RunStream(feedObservations(s.Observations), w)
 		}
 		_, js := renderings(t, r)
@@ -188,8 +187,7 @@ func TestBatchChaosShortRead(t *testing.T) {
 	}
 
 	for _, b := range batchSizes {
-		p.Batch = b
-		r := p.RunStreamBatches(feedBatches(faulted, b), runtime.GOMAXPROCS(0))
+		r := p.Accumulate(feedBatches(faulted, b), runtime.GOMAXPROCS(0), nil).Finalize()
 		text, js := renderings(t, r)
 		if text != baseText {
 			t.Errorf("batch=%d: chaos report differs from clean baseline", b)
@@ -198,5 +196,4 @@ func TestBatchChaosShortRead(t *testing.T) {
 			t.Errorf("batch=%d: chaos JSON differs from clean baseline", b)
 		}
 	}
-	p.Batch = 0
 }

@@ -220,6 +220,56 @@ func TestRunStreamEquivalence(t *testing.T) {
 	}
 }
 
+// TestRunnerEdgeCases pins the runners' degenerate inputs to the sequential
+// Accumulator reference: empty input, more workers than observations, a
+// stream that is already closed, and Accumulate with a nil tracer (which
+// must also leave the pipeline's own tracer untouched).
+func TestRunnerEdgeCases(t *testing.T) {
+	s := generate(t, 1)
+	p := lintingPipeline(s)
+	sequential := func(obs []*campus.Observation) *analysis.Report {
+		acc := p.NewAccumulator()
+		for _, o := range obs {
+			acc.Observe(o)
+		}
+		return acc.Finalize()
+	}
+	check := func(name string, got, want *analysis.Report) {
+		t.Helper()
+		gotText, gotJSON := renderings(t, got)
+		wantText, wantJSON := renderings(t, want)
+		if gotText != wantText {
+			t.Errorf("%s: rendered report differs from the sequential reference", name)
+		}
+		if !bytes.Equal(gotJSON, wantJSON) {
+			t.Errorf("%s: JSON export differs from the sequential reference", name)
+		}
+	}
+
+	empty := p.NewAccumulator().Finalize()
+	check("RunParallel(nil, 4)", p.RunParallel(nil, 4), empty)
+
+	closed := make(chan *campus.Observation)
+	close(closed)
+	check("RunStream(closed, 4)", p.RunStream(closed, 4), empty)
+
+	few := s.Observations[:3]
+	check("RunParallel(3 observations, 8)", p.RunParallel(few, 8), sequential(few))
+
+	tracer := obs.NewTracer()
+	p.Tracer = tracer
+	defer func() { p.Tracer = nil }()
+	batches := make(chan []*campus.Observation, 3)
+	batches <- s.Observations[:7]
+	batches <- nil
+	batches <- s.Observations[7:]
+	close(batches)
+	check("Accumulate(nil tracer)", p.Accumulate(batches, 3, nil).Finalize(), sequential(s.Observations))
+	if st := tracer.Stages(); len(st) != 0 {
+		t.Errorf("Accumulate with a nil tracer recorded %d stages on the pipeline tracer", len(st))
+	}
+}
+
 // TestZeekStreamEquivalence round-trips a scenario through the Zeek log
 // writer and back via the streaming loader into RunStream — the exact CLI
 // log-file path — and checks the report matches the in-memory sequential run

@@ -3,10 +3,8 @@
 package analysis
 
 import (
-	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 
 	"certchains/internal/campus"
 	"certchains/internal/certmodel"
@@ -22,34 +20,25 @@ import (
 
 // Pipeline wires the enrichment components of Figure 2.
 //
-// Enrichment is sharded: observations are partitioned across a pool of
-// workers, each accumulating into a private partialReport; the partials are
-// then merged deterministically and finalized. Any worker count produces a
-// byte-identical report (see partialReport for why), so Workers is purely a
-// throughput knob.
+// Enrichment is sharded: observations are dealt across a pool of workers,
+// each accumulating into a private partialReport; the partials are then
+// merged deterministically and finalized. Any worker count produces a
+// byte-identical report (see partialReport for why), so the worker count
+// the runners take is purely a throughput knob.
 type Pipeline struct {
 	DB         *trustdb.DB
 	CT         *ctlog.Log
 	Classifier *chain.Classifier
 	Registry   *intercept.Registry
-	// Workers is the shard/worker count Run uses; 0 or negative selects
-	// runtime.GOMAXPROCS(0).
-	Workers int
-	// Batch is the streaming handoff batch size: RunStream/AccumulateStream
-	// dispatch observations to workers in slices of up to Batch records
-	// rather than one channel send per record. 0 or negative selects
-	// DefaultBatch. Batching never changes output — the equivalence suite
-	// pins per-record and batched feeds byte-identical.
-	Batch int
 	// Linter, when set, lints every visible chain during the observation
 	// pass and adds a corpus prevalence summary to the report (Report.Lint).
 	// Linting shares the per-shard analysis cache and merges like every
 	// other accumulator, so worker count still never changes output.
 	Linter *lint.Linter
-	// Tracer, when set, records stage spans for every run. Shard spans are
-	// started by the coordinator in shard order before the workers launch,
-	// so the span sequence — though not the durations — is deterministic.
-	// A nil tracer costs nothing.
+	// Tracer, when set, records stage spans for RunParallel and RunStream.
+	// Shard spans are started in shard order before the workers launch, so
+	// the span sequence — though not the durations — is deterministic. A nil
+	// tracer costs nothing.
 	Tracer *obs.Tracer
 }
 
@@ -67,96 +56,36 @@ func FromScenario(s *campus.Scenario) *Pipeline {
 // chain as a misconfiguration outlier.
 const pathologicalLength = 30
 
-// Run executes the full analysis over the observations with p.Workers
-// workers.
-func (p *Pipeline) Run(observations []*campus.Observation) *Report {
-	return p.RunParallel(observations, p.Workers)
-}
-
-// RunParallel executes the full analysis with an explicit worker count.
-// Observations are split into contiguous shards, one per worker; partials
-// merge in shard order, so the result is byte-identical for every worker
-// count (workers=1 is the plain sequential pass).
+// RunParallel executes the full analysis over an in-memory observation
+// slice with an explicit worker count (0 or negative selects GOMAXPROCS,
+// and the pool never outnumbers the observations). The slice is handed to
+// Accumulate as zero-copy sub-slices in input order, so the report is
+// byte-identical at every worker count (workers=1 is the sequential pass).
 func (p *Pipeline) RunParallel(observations []*campus.Observation, workers int) *Report {
-	workers = normalizeWorkers(workers, len(observations))
-	det := intercept.NewDetector(p.DB, p.CT)
-	stage := p.Tracer.Start("observe", "observe").SetRecords(int64(len(observations)))
-	if workers == 1 {
-		// The sequential path still emits one shard span so the stage set —
-		// which the deterministic manifest subset pins — matches every width.
-		shard := p.Tracer.Start("observe-shard", "observe/shard0").
-			SetRecords(int64(len(observations)))
-		pr := p.newPartial(det)
-		for i, o := range observations {
-			pr.observe(i, o)
-		}
-		shard.End()
-		stage.End()
-		return p.mergeAndFinalize([]*partialReport{pr})
+	n := len(observations)
+	batches := make(chan []*campus.Observation, (n+handoffBatch-1)/handoffBatch)
+	for lo := 0; lo < n; lo += handoffBatch {
+		batches <- observations[lo:min(lo+handoffBatch, n)]
 	}
-
-	partials := make([]*partialReport, workers)
-	spans := make([]*obs.Span, workers)
-	for w := 0; w < workers; w++ {
-		lo, hi := shardRange(len(observations), workers, w)
-		//certchain:coldpath once per shard at stage setup
-		spans[w] = p.Tracer.Start("observe-shard", fmt.Sprintf("observe/shard%d", w)).
-			SetTID(w).SetRecords(int64(hi - lo))
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := shardRange(len(observations), workers, w)
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			pr := p.newPartial(det)
-			for i := lo; i < hi; i++ {
-				pr.observe(i, observations[i])
-			}
-			partials[w] = pr
-			spans[w].End()
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	stage.End()
-	return p.mergeAndFinalize(partials)
+	close(batches)
+	return p.finalize(p.Accumulate(batches, normalizeWorkers(workers, n), p.Tracer))
 }
 
 // RunStream executes the full analysis over a producer channel without ever
-// materializing the observation slice: a dispatcher tags each observation
-// with its arrival sequence number and the worker pool consumes them as they
-// come. The merge is order-independent (and outliers are sequence-sorted),
-// so the report is byte-identical to Run over the same observations in the
-// same producer order.
+// materializing the observation slice: the stream is rechunked into handoff
+// batches and accumulated as it arrives. Sequence tags follow producer
+// order, so the report is byte-identical to RunParallel over the same
+// observations in the same order.
 func (p *Pipeline) RunStream(observations <-chan *campus.Observation, workers int) *Report {
-	acc := p.AccumulateStream(observations, workers)
-	fsp := p.Tracer.Start("finalize", "finalize")
-	rep := acc.Finalize()
-	fsp.End()
-	return rep
+	return p.finalize(p.Accumulate(Rechunk(observations), workers, p.Tracer))
 }
 
-// RunStreamBatches is RunStream over a batch-native producer: one channel
-// send per observation slice. Output is byte-identical to RunStream over the
-// flattened stream.
-func (p *Pipeline) RunStreamBatches(batches <-chan []*campus.Observation, workers int) *Report {
-	acc := p.AccumulateBatches(batches, workers)
+// finalize finishes an accumulated run under the pipeline tracer's
+// finalize span.
+func (p *Pipeline) finalize(acc *Accumulator) *Report {
 	fsp := p.Tracer.Start("finalize", "finalize")
-	rep := acc.Finalize()
-	fsp.End()
-	return rep
-}
-
-// DefaultBatch is the streaming handoff batch size when Pipeline.Batch is
-// unset.
-const DefaultBatch = 64
-
-// normalizeBatch resolves the configured batch size.
-func (p *Pipeline) normalizeBatch() int {
-	if p.Batch > 0 {
-		return p.Batch
-	}
-	return DefaultBatch
+	defer fsp.End()
+	return acc.Finalize()
 }
 
 // normalizeWorkers clamps a worker count: non-positive selects GOMAXPROCS,
@@ -172,45 +101,6 @@ func normalizeWorkers(workers, n int) int {
 		workers = 1
 	}
 	return workers
-}
-
-// shardRange returns the half-open observation range [lo, hi) of shard w out
-// of `workers` contiguous, near-equal shards over n observations.
-func shardRange(n, workers, w int) (lo, hi int) {
-	base, rem := n/workers, n%workers
-	lo = w*base + min(w, rem)
-	hi = lo + base
-	if w < rem {
-		hi++
-	}
-	return lo, hi
-}
-
-// mergePartials folds shard accumulators together (in shard order, though
-// any order yields the same report) and finalizes.
-func mergePartials(partials []*partialReport) *Report {
-	merged := partials[0]
-	for _, pr := range partials[1:] {
-		merged.merge(pr)
-	}
-	return merged.finalize()
-}
-
-// mergeAndFinalize is mergePartials under the pipeline's tracer. The merge
-// and finalize stages carry zero records — they reduce state rather than
-// consume input — which keeps their deterministic-subset projection
-// width-invariant even though a wider run merges more partials.
-func (p *Pipeline) mergeAndFinalize(partials []*partialReport) *Report {
-	msp := p.Tracer.Start("merge", "merge").Arg("partials", int64(len(partials)))
-	merged := partials[0]
-	for _, pr := range partials[1:] {
-		merged.merge(pr)
-	}
-	msp.End()
-	fsp := p.Tracer.Start("finalize", "finalize")
-	rep := merged.finalize()
-	fsp.End()
-	return rep
 }
 
 // classifyContains assigns the Appendix F.2 misconfiguration pattern of a
@@ -300,8 +190,7 @@ func containsFakeLE(ch certmodel.Chain) bool {
 }
 
 func (p *Pipeline) buildTable1(sectorConns map[intercept.Category]int64,
-	sectorIPs map[intercept.Category]map[string]bool,
-	sectorIssuers map[intercept.Category]map[string]bool, detected map[string]bool) Table1 {
+	sectorIPs map[intercept.Category]map[string]bool, detected map[string]bool) Table1 {
 
 	var total int64
 	for _, c := range sectorConns {
@@ -326,7 +215,6 @@ func (p *Pipeline) buildTable1(sectorConns map[intercept.Category]int64,
 		t.Sectors = append(t.Sectors, row)
 		t.TotalIssuers += issuers
 	}
-	_ = sectorIssuers
 	return t
 }
 

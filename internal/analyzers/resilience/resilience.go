@@ -4,8 +4,11 @@
 // time.Sleep can't be cancelled and never appears in a fault plan; a dial or
 // HTTP helper without a context can't time out under the chaos suite; and
 // http.DefaultClient has no timeout at all, so a dead server hangs the
-// caller forever. The chaos-equivalence suite only proves resilience for
-// code that uses the seams — this analyzer proves the seams are used.
+// caller forever. On the serving side, an http.Server without a
+// ReadHeaderTimeout lets a client that never finishes its headers hold a
+// connection open indefinitely. The chaos-equivalence suite only proves
+// resilience for code that uses the seams — this analyzer proves the seams
+// are used.
 package resilience
 
 import (
@@ -31,6 +34,7 @@ func (Analyzer) Rules() []analyzers.RuleDoc {
 	return []analyzers.RuleDoc{
 		{ID: "default-client", Description: "http.DefaultClient has no timeout and bypasses the resilience RoundTripper seam"},
 		{ID: "no-context-http", Description: "context-less HTTP helper (http.Get/Post/Head/PostForm) cannot be cancelled or fault-injected"},
+		{ID: "no-header-timeout", Description: "http.Server literal without ReadHeaderTimeout lets a slow client hold a connection open indefinitely"},
 		{ID: "raw-dial", Description: "context-less dial (net.Dial*, tls.Dial) bypasses Plan.Dial and cannot be cancelled"},
 		{ID: "raw-sleep", Description: "bare time.Sleep cannot be cancelled; use a context-aware sleep or resilience.Policy backoff"},
 	}
@@ -72,6 +76,13 @@ func (Analyzer) Analyze(fset *token.FileSet, pkg *analyzers.Package) []analyzers
 					report(n.Pos(), "default-client",
 						"http.DefaultClient has no timeout and bypasses Plan.RoundTripper; build a client with an explicit timeout or transport seam")
 				}
+			case *ast.CompositeLit:
+				if sel, ok := n.Type.(*ast.SelectorExpr); ok && sel.Sel.Name == "Server" {
+					if id, ok := sel.X.(*ast.Ident); ok && id.Obj == nil && httpPkgs[id.Name] && !hasKey(n, "ReadHeaderTimeout") {
+						report(n.Pos(), "no-header-timeout",
+							"http.Server without ReadHeaderTimeout never times out a client that stalls mid-headers; set ReadHeaderTimeout")
+					}
+				}
 			case *ast.CallExpr:
 				if fn, ok := analyzers.PkgCall(n, httpPkgs); ok && noContextHTTP[fn] {
 					report(n.Pos(), "no-context-http",
@@ -95,4 +106,16 @@ func (Analyzer) Analyze(fset *token.FileSet, pkg *analyzers.Package) []analyzers
 	}
 	analyzers.SortFindings(findings)
 	return findings
+}
+
+// hasKey reports whether a composite literal sets the named field.
+func hasKey(lit *ast.CompositeLit, field string) bool {
+	for _, elt := range lit.Elts {
+		if kv, ok := elt.(*ast.KeyValueExpr); ok {
+			if id, ok := kv.Key.(*ast.Ident); ok && id.Name == field {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -16,6 +16,8 @@ func TestRawNetworkAndSleep(t *testing.T) {
 		"raw.go:14 resilience/raw-dial",
 		"raw.go:15 resilience/raw-dial",
 		"raw.go:16 resilience/raw-sleep",
+		"raw.go:17 resilience/no-header-timeout",
+		"raw.go:18 resilience/no-header-timeout",
 	})
 }
 

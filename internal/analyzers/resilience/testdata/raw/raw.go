@@ -1,4 +1,4 @@
-// Positive fixture: every raw network/sleep form the rules flag.
+// Positive fixture: every raw network/sleep/server form the rules flag.
 package fixture
 
 import (
@@ -14,4 +14,6 @@ func raw() {
 	_, _ = net.Dial("tcp", "example.test:443")
 	_, _ = tls.Dial("tcp", "example.test:443", nil)
 	time.Sleep(time.Second)
+	_ = &http.Server{Addr: "127.0.0.1:0"}
+	_ = http.Server{ReadTimeout: time.Second}
 }

@@ -1,5 +1,6 @@
 // Negative fixture: the sanctioned shapes — context-aware requests, an
-// explicit client, dialers with contexts, and shadowed package names.
+// explicit client, a server with a header timeout, dialers with contexts,
+// and shadowed package names.
 package fixture
 
 import (
@@ -10,6 +11,8 @@ import (
 )
 
 var client = &http.Client{Timeout: 5 * time.Second}
+
+var server = &http.Server{Addr: "127.0.0.1:0", ReadHeaderTimeout: 5 * time.Second}
 
 func seamed(ctx context.Context) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://example.test/", nil)

@@ -587,7 +587,7 @@ func ingestPartition(ctx context.Context, p *analysis.Pipeline, fs resilience.FS
 			return nil
 		})
 	}()
-	acc := p.AccumulateStreamTracer(obsCh, goroutines, tracer)
+	acc := p.Accumulate(analysis.Rechunk(obsCh), goroutines, tracer)
 	if err := <-loadErr; err != nil {
 		return nil, nil, fmt.Errorf("dist: load partition %s: %w", part.ID, err)
 	}

@@ -10,7 +10,7 @@
 //	1 sequential pass  ≡  N goroutines in one process  ≡  N worker processes
 //
 // The claim holds because nothing new is invented at this layer: workers
-// accumulate through analysis.AccumulateStream exactly as an in-process
+// accumulate through analysis.Pipeline.Accumulate exactly as an in-process
 // shard would, the shipped state is the same canonical snapshot codec the
 // ingest daemon persists, and the coordinator rebases each partition's
 // sequence tags by the cumulative observation counts of the partitions

@@ -56,7 +56,7 @@ type WorkerConfig struct {
 //	GET  /metrics
 //
 // Each assignment runs in its own goroutine: the partition streams through
-// the Zeek loader into analysis.AccumulateStream, and the resulting state
+// the Zeek loader into analysis.Pipeline.Accumulate, and the resulting state
 // is encoded eagerly — a completed partition costs its snapshot bytes, not
 // its live accumulator.
 type Worker struct {
@@ -93,7 +93,7 @@ type workerPartition struct {
 // NewWorker builds a worker. Close releases its ingest goroutines.
 func NewWorker(cfg WorkerConfig) *Worker {
 	if cfg.Goroutines < 1 {
-		cfg.Goroutines = 0 // AccumulateStream normalizes to GOMAXPROCS
+		cfg.Goroutines = 0 // Accumulate normalizes to GOMAXPROCS
 	}
 	reg := cfg.Registry
 	if reg == nil {

@@ -15,7 +15,7 @@ func TestVerifyAllPass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := analysis.FromScenario(s).Run(s.Observations)
+	r := analysis.FromScenario(s).RunParallel(s.Observations, 0)
 	checks := Verify(r)
 	if len(checks) < 30 {
 		t.Fatalf("only %d checks produced", len(checks))
@@ -37,7 +37,7 @@ func TestVerifyDetectsDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := analysis.FromScenario(s).Run(s.Observations)
+	r := analysis.FromScenario(s).RunParallel(s.Observations, 0)
 	// Corrupt a structural absolute: the verifier must notice.
 	r.Sec42.FakeLEChains = 7
 	failed := Failed(Verify(r))
@@ -77,7 +77,7 @@ func TestSoakLargerScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := analysis.FromScenario(s).Run(s.Observations)
+	r := analysis.FromScenario(s).RunParallel(s.Observations, 0)
 	for _, c := range Failed(Verify(r)) {
 		t.Errorf("%s", c)
 	}

@@ -4,8 +4,8 @@
 // produces is the process-level jitter seed drawn here when a Policy leaves
 // JitterSeed zero. Deterministic callers (tests, the chaos suite) set
 // JitterSeed and inject a Sleep, and never touch this file's code paths.
-// This file — and only this file — is allowlisted in cmd/determinism-lint
-// for this package.
+// This file — and only this file — is allowlisted in .certchain-vet.json
+// for this package's determinism findings.
 package resilience
 
 import (
