@@ -42,10 +42,11 @@ race:
 	$(GO) test -race ./...
 
 # End-to-end smoke over the streaming ingest daemon: the batch-equivalence
-# suite, the in-process daemon lifecycle, and the process-level SIGINT tests
-# (real binaries, real signals, final snapshot on disk).
+# suite, the snapshot-restart and late-connection paths of the windowed
+# aggregator, the in-process daemon lifecycle, and the process-level SIGINT
+# tests (real binaries, real signals, final snapshot on disk).
 ingest-smoke:
-	$(GO) test -count=1 -run 'TestIngestorMatchesBatch|TestDaemonGracefulShutdown' ./internal/ingest/
+	$(GO) test -count=1 -run 'TestIngestorMatchesBatch|TestIngestorSnapshotRestartEquivalence|TestIngestorLateConnection|TestDaemonGracefulShutdown' ./internal/ingest/
 	$(GO) test -count=1 -run 'TestSignalShutdownWritesSnapshot' ./cmd/certchain-ingestd/
 	$(GO) test -count=1 -run 'TestServeShutsDownOnInterrupt' ./cmd/ctlog/
 
@@ -88,8 +89,8 @@ serve-smoke:
 # scanner dial faults, ctlog HTTP faults, middlebox upstream timeout/retry,
 # zeek tailer file faults (including the fault-plan fuzzer's corpus), and
 # the ingest chaos-equivalence suite (faulted runs byte-identical to
-# fault-free at every worker width) — plus a coverage ratchet on the
-# resilience layer itself. The floor only moves up.
+# fault-free) — plus a coverage ratchet on the resilience layer itself. The
+# floor only moves up.
 RESILIENCE_COVER_FLOOR = 90
 chaos:
 	$(GO) test -race -count=1 ./internal/resilience/
@@ -128,8 +129,9 @@ bench-ratchet:
 	$(GO) run ./cmd/bench-ratchet -baseline BENCH_pipeline.json
 
 # Short fuzz pass over the parsers, the block-boundary decode and load
-# properties (the decode fuzzers choose the block size too), and the
-# shard-merge property (longer runs: increase -fuzztime).
+# properties (the decode fuzzers choose the block size too), the
+# shard-merge property, and the daemon snapshot restore (longer runs:
+# increase -fuzztime).
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/dn/
 	$(GO) test -fuzz FuzzFieldRoundTrip -fuzztime 20s ./internal/zeek/
@@ -143,6 +145,7 @@ fuzz:
 	$(GO) test -fuzz FuzzRegistryMerge -fuzztime 20s ./internal/obs/
 	$(GO) test -fuzz FuzzLintChain -fuzztime 30s ./internal/lint/
 	$(GO) test -fuzz FuzzPartialSnapshotDecode -fuzztime 20s ./internal/analysis/
+	$(GO) test -fuzz FuzzIngestRestore -fuzztime 30s -fuzzminimizetime 5s ./internal/ingest/
 
 # The full paper report with paper-vs-measured verification.
 report:

@@ -18,7 +18,7 @@ import (
 // windows across restarts without re-reading log history. The codec captures
 // a partialReport exactly: a restored accumulator merges and finalizes
 // byte-identically to the original (the window equivalence suite enforces
-// this across seeds and worker widths).
+// this across seeds and ObserveBatch chunk sizes).
 //
 // Certificates are deduplicated through a snapshot-wide table: partials
 // reference chains by their fingerprint keys, and every structure analysis is
@@ -303,7 +303,10 @@ func (p *Pipeline) restorePartial(s *partialSnapshot, det *intercept.Detector,
 		pr.excluded = append(pr.excluded, excludedLength{seq: ex[0], length: ex[1]})
 	}
 	for _, key := range s.Chains {
-		ch, err := chainFromKey(key, resolve)
+		if key == "" {
+			return nil, fmt.Errorf("analysis: empty chain key in snapshot")
+		}
+		ch, err := ChainFromKey(key, resolve)
 		if err != nil {
 			return nil, err
 		}
@@ -315,10 +318,13 @@ func (p *Pipeline) restorePartial(s *partialSnapshot, det *intercept.Detector,
 	return pr, nil
 }
 
-// chainFromKey rebuilds a delivered chain from its fingerprint key.
-func chainFromKey(key string, resolve func(certmodel.Fingerprint) *certmodel.Meta) (certmodel.Chain, error) {
+// ChainFromKey rebuilds a delivered chain from its fingerprint key
+// (certmodel.Chain.Key); resolve maps a fingerprint to its certificate in
+// the snapshot's table. The empty key is the empty chain of a TLS 1.3
+// connection.
+func ChainFromKey(key string, resolve func(certmodel.Fingerprint) *certmodel.Meta) (certmodel.Chain, error) {
 	if key == "" {
-		return nil, fmt.Errorf("analysis: empty chain key in snapshot")
+		return nil, nil
 	}
 	fps := strings.Split(key, "|")
 	ch := make(certmodel.Chain, 0, len(fps))

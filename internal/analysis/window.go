@@ -3,7 +3,6 @@ package analysis
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"certchains/internal/campus"
@@ -20,23 +19,23 @@ import (
 // Buckets are keyed by simulated time — the observation's own timestamp,
 // never the wall clock — so the report for any window is a pure function of
 // the observations ingested, independent of when the daemon processed them.
-// Each live bucket holds one accumulator shard per worker; a window report
-// merges the relevant shards into a throwaway accumulator and finalizes it.
-// Because partialReport.merge is commutative and reads its source without
-// mutation, reporting never perturbs live state, and any partition of
-// observations across buckets, shards, and daemon restarts finalizes
-// byte-identically to one sequential pass (the equivalence suite enforces
-// this).
+// Each live bucket is one accumulator that observations fold into in order;
+// a window report merges the relevant buckets into a throwaway accumulator
+// and finalizes it. Because partialReport.merge is commutative and reads its
+// source without mutation, reporting never perturbs live state, and any
+// partition of observations across batches, buckets, and daemon restarts
+// finalizes byte-identically to one sequential pass (the equivalence suite
+// enforces this).
 //
 // When the ring exceeds its configured depth, the oldest bucket is folded
 // into the spill accumulator: all-time reports stay exact while live memory
-// is bounded by Buckets x Workers accumulators.
+// is bounded by Buckets accumulators.
 type WindowRing struct {
-	p   *Pipeline
+	p   *Pipeline //certchain:nosnapshot shared pipeline config; RestoreWindowRing takes it from the caller
 	det *intercept.Detector
 	cfg WindowConfig
 
-	buckets map[int64]*windowBucket
+	buckets map[int64]*partialReport
 	order   []int64 // live bucket indexes, ascending
 	spill   *partialReport
 
@@ -53,9 +52,6 @@ type WindowConfig struct {
 	// Buckets is the maximum number of live buckets before the oldest spills;
 	// 0 selects DefaultWindowBuckets.
 	Buckets int
-	// Workers is the fold parallelism per ObserveBatch; 0 selects
-	// runtime.GOMAXPROCS(0).
-	Workers int
 }
 
 // DefaultWindowInterval is one paper-style reporting hour.
@@ -63,14 +59,6 @@ const DefaultWindowInterval = time.Hour
 
 // DefaultWindowBuckets keeps two days of hourly buckets live.
 const DefaultWindowBuckets = 48
-
-type windowBucket struct {
-	// base holds history restored from a snapshot (the bucket's pre-crash
-	// observations, collapsed); nil on buckets born live.
-	base *partialReport
-	// shards are per-worker accumulators, created lazily.
-	shards []*partialReport
-}
 
 // NewWindowRing creates an empty ring over the pipeline's components.
 func NewWindowRing(p *Pipeline, cfg WindowConfig) *WindowRing {
@@ -80,13 +68,12 @@ func NewWindowRing(p *Pipeline, cfg WindowConfig) *WindowRing {
 	if cfg.Buckets <= 0 {
 		cfg.Buckets = DefaultWindowBuckets
 	}
-	cfg.Workers = normalizeWorkers(cfg.Workers, -1)
 	det := intercept.NewDetector(p.DB, p.CT)
 	return &WindowRing{
 		p:       p,
 		det:     det,
 		cfg:     cfg,
-		buckets: make(map[int64]*windowBucket),
+		buckets: make(map[int64]*partialReport),
 		spill:   p.newPartial(det),
 	}
 }
@@ -94,7 +81,9 @@ func NewWindowRing(p *Pipeline, cfg WindowConfig) *WindowRing {
 // Config returns the normalized configuration.
 func (w *WindowRing) Config() WindowConfig { return w.cfg }
 
-func (w *WindowRing) bucketIdx(t time.Time) int64 {
+// Index is the bucket index of log time t: the number of whole intervals
+// since the Unix epoch, rounded down.
+func (w *WindowRing) Index(t time.Time) int64 {
 	return floorDiv(t.UnixNano(), int64(w.cfg.Interval))
 }
 
@@ -107,11 +96,11 @@ func floorDiv(a, b int64) int64 {
 }
 
 // bucket returns the live bucket for idx, creating it in order.
-func (w *WindowRing) bucket(idx int64) *windowBucket {
+func (w *WindowRing) bucket(idx int64) *partialReport {
 	if b, ok := w.buckets[idx]; ok {
 		return b
 	}
-	b := &windowBucket{shards: make([]*partialReport, w.cfg.Workers)}
+	b := w.p.newPartial(w.det)
 	w.buckets[idx] = b
 	pos := sort.Search(len(w.order), func(i int) bool { return w.order[i] >= idx })
 	w.order = append(w.order, 0)
@@ -120,51 +109,23 @@ func (w *WindowRing) bucket(idx int64) *windowBucket {
 	return b
 }
 
-// ObserveBatch folds a batch of observations into their buckets, sharded
-// across the configured workers. Observations are bucketed by their Last
-// timestamp (the daemon's aggregator emits one observation per window, so
-// First and Last fall in the same bucket). Not safe for concurrent use.
+// ObserveBatch folds a batch of observations into their buckets, in order.
+// Observations are bucketed by their Last timestamp (the daemon's aggregator
+// emits one observation per window, so First and Last fall in the same
+// bucket). Not safe for concurrent use.
 func (w *WindowRing) ObserveBatch(obs []*campus.Observation) {
 	if len(obs) == 0 {
 		return
 	}
 	sp := w.p.Tracer.Start("window-fold", "window/fold").SetRecords(int64(len(obs)))
 	defer sp.End()
-	type item struct {
-		seq int
-		o   *campus.Observation
-		b   *windowBucket
-	}
-	items := make([]item, 0, len(obs))
 	for _, o := range obs {
-		b := w.bucket(w.bucketIdx(o.Last))
-		items = append(items, item{seq: w.seq, o: o, b: b})
+		w.bucket(w.Index(o.Last)).observe(w.seq, o)
 		w.seq++
 		if !w.wmSet || o.Last.After(w.wm) {
 			w.wm, w.wmSet = o.Last, true
 		}
 	}
-	workers := w.cfg.Workers
-	if workers > len(items) {
-		workers = len(items)
-	}
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func(wk int) {
-			defer wg.Done()
-			for i := wk; i < len(items); i += workers {
-				it := items[i]
-				pr := it.b.shards[wk]
-				if pr == nil {
-					pr = w.p.newPartial(w.det)
-					it.b.shards[wk] = pr
-				}
-				pr.observe(it.seq, it.o)
-			}
-		}(wk)
-	}
-	wg.Wait()
 	w.evict()
 }
 
@@ -174,21 +135,19 @@ func (w *WindowRing) evict() {
 	for len(w.order) > w.cfg.Buckets {
 		idx := w.order[0]
 		w.order = w.order[1:]
-		b := w.buckets[idx]
+		w.spill.merge(w.buckets[idx])
 		delete(w.buckets, idx)
-		w.foldInto(w.spill, b)
 	}
 }
 
-func (w *WindowRing) foldInto(dst *partialReport, b *windowBucket) {
-	if b.base != nil {
-		dst.merge(b.base)
+// partials returns the spill accumulator and every live bucket, oldest
+// first.
+func (w *WindowRing) partials() []*partialReport {
+	out := append(make([]*partialReport, 0, len(w.order)+1), w.spill)
+	for _, idx := range w.order {
+		out = append(out, w.buckets[idx])
 	}
-	for _, pr := range b.shards {
-		if pr != nil {
-			dst.merge(pr)
-		}
-	}
+	return out
 }
 
 // Report finalizes a report over the trailing window ending at the
@@ -226,17 +185,17 @@ func (w *WindowRing) ReportWith(extra []*campus.Observation, window time.Duratio
 	minIdx := int64(0)
 	if !all {
 		n := int64((window + w.cfg.Interval - 1) / w.cfg.Interval)
-		minIdx = floorDiv(wm.UnixNano(), int64(w.cfg.Interval)) - n + 1
+		minIdx = w.Index(wm) - n + 1
 	}
 	for _, idx := range w.order {
 		if !all && idx < minIdx {
 			continue
 		}
-		w.foldInto(out, w.buckets[idx])
+		out.merge(w.buckets[idx])
 	}
 	seq := w.seq
 	for _, o := range extra {
-		if all || w.bucketIdx(o.Last) >= minIdx {
+		if all || w.Index(o.Last) >= minIdx {
 			out.observe(seq, o)
 		}
 		seq++
@@ -261,10 +220,7 @@ func (w *WindowRing) LiveBuckets() int { return len(w.order) }
 // zero here.
 func (w *WindowRing) CategoryTotals() map[chain.Category]CategoryStats {
 	out := make(map[chain.Category]CategoryStats)
-	add := func(pr *partialReport) {
-		if pr == nil {
-			return
-		}
+	for _, pr := range w.partials() {
 		for cat, cs := range pr.rep.Table2.PerCategory {
 			t := out[cat]
 			t.Chains += cs.Chains
@@ -273,34 +229,15 @@ func (w *WindowRing) CategoryTotals() map[chain.Category]CategoryStats {
 			out[cat] = t
 		}
 	}
-	add(w.spill)
-	for _, idx := range w.order {
-		b := w.buckets[idx]
-		add(b.base)
-		for _, pr := range b.shards {
-			add(pr)
-		}
-	}
 	return out
 }
 
 // ConnTotals sums the all-time §6.3 connection counters (TLS 1.3-hidden and
 // certificate-visible) across every accumulator.
 func (w *WindowRing) ConnTotals() (tls13, visible int64) {
-	add := func(pr *partialReport) {
-		if pr == nil {
-			return
-		}
+	for _, pr := range w.partials() {
 		tls13 += pr.rep.Sec63.TLS13Conns
 		visible += pr.rep.Sec63.VisibleConns
-	}
-	add(w.spill)
-	for _, idx := range w.order {
-		b := w.buckets[idx]
-		add(b.base)
-		for _, pr := range b.shards {
-			add(pr)
-		}
 	}
 	return tls13, visible
 }
@@ -324,9 +261,8 @@ type windowBucketSnapshot struct {
 	Partial *partialSnapshot `json:"partial"`
 }
 
-// Snapshot serializes the ring without perturbing it: each bucket's shards
-// are collapsed into a throwaway accumulator (merge is non-destructive) and
-// encoded as one partial.
+// Snapshot serializes the ring without perturbing it, one partial per
+// bucket.
 func (w *WindowRing) Snapshot() *WindowRingSnapshot {
 	certs := make(map[certmodel.Fingerprint]*certmodel.Meta)
 	s := &WindowRingSnapshot{
@@ -339,9 +275,7 @@ func (w *WindowRing) Snapshot() *WindowRingSnapshot {
 	}
 	s.Spill = w.spill.snapshot(certs)
 	for _, idx := range w.order {
-		collapsed := w.p.newPartial(w.det)
-		w.foldInto(collapsed, w.buckets[idx])
-		s.Buckets = append(s.Buckets, windowBucketSnapshot{Idx: idx, Partial: collapsed.snapshot(certs)})
+		s.Buckets = append(s.Buckets, windowBucketSnapshot{Idx: idx, Partial: w.buckets[idx].snapshot(certs)})
 	}
 	fps := make([]string, 0, len(certs))
 	for fp := range certs {
@@ -356,8 +290,9 @@ func (w *WindowRing) Snapshot() *WindowRingSnapshot {
 
 // RestoreWindowRing rebuilds a ring from a snapshot. The snapshot's interval
 // is authoritative (a config mismatch would silently split buckets);
-// Buckets/Workers come from cfg, and a smaller restored depth spills the
-// oldest buckets immediately.
+// Buckets comes from cfg, and a smaller restored depth spills the oldest
+// buckets immediately. Later observations fold straight into the restored
+// buckets.
 func RestoreWindowRing(p *Pipeline, cfg WindowConfig, s *WindowRingSnapshot) (*WindowRing, error) {
 	if s == nil {
 		return NewWindowRing(p, cfg), nil
@@ -377,11 +312,12 @@ func RestoreWindowRing(p *Pipeline, cfg WindowConfig, s *WindowRingSnapshot) (*W
 		return nil, fmt.Errorf("analysis: restore spill: %w", err)
 	}
 	for _, bs := range s.Buckets {
-		base, err := p.restorePartial(bs.Partial, w.det, resolve)
+		pr, err := p.restorePartial(bs.Partial, w.det, resolve)
 		if err != nil {
 			return nil, fmt.Errorf("analysis: restore bucket %d: %w", bs.Idx, err)
 		}
-		w.bucket(bs.Idx).base = base
+		w.bucket(bs.Idx) // opens bs.Idx in order; the restored partial replaces the empty one
+		w.buckets[bs.Idx] = pr
 	}
 	w.seq = s.Seq
 	if s.WMSet {

@@ -8,7 +8,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
@@ -40,7 +39,8 @@ func feedChunks(ring *analysis.WindowRing, obs []*campus.Observation, n int) {
 // TestWindowRingMatchesBatch: the ring's all-time report must be
 // byte-identical to the batch pipeline over the same observations — with the
 // whole scenario in one bucket, and with observations scattered across many
-// buckets with forced spill eviction.
+// buckets with forced spill eviction — however the observations are
+// partitioned into ObserveBatch calls.
 func TestWindowRingMatchesBatch(t *testing.T) {
 	s := generate(t, 1)
 	p := lintingPipeline(s)
@@ -52,28 +52,32 @@ func TestWindowRingMatchesBatch(t *testing.T) {
 		name string
 		cfg  analysis.WindowConfig
 	}{
-		{"one-bucket", analysis.WindowConfig{Interval: 2*span + time.Hour, Buckets: 4, Workers: 3}},
-		{"many-buckets-spill", analysis.WindowConfig{Interval: span/16 + 1, Buckets: 4, Workers: 2}},
+		{"one-bucket", analysis.WindowConfig{Interval: 2*span + time.Hour, Buckets: 4}},
+		{"many-buckets-spill", analysis.WindowConfig{Interval: span/16 + 1, Buckets: 4}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ring := analysis.NewWindowRing(p, tc.cfg)
-			feedChunks(ring, s.Observations, 37)
-			if ring.Seq() != len(s.Observations) {
-				t.Fatalf("Seq = %d, want %d", ring.Seq(), len(s.Observations))
-			}
-			// Reporting must not perturb live state: render a trailing window
-			// first, then all time twice.
-			ring.Report(tc.cfg.Interval)
-			text, js := renderings(t, ring.Report(0))
-			if text != baseText {
-				t.Errorf("all-time report differs from batch (len %d vs %d)", len(text), len(baseText))
-			}
-			if !bytes.Equal(js, baseJSON) {
-				t.Error("all-time JSON differs from batch")
-			}
-			if again, _ := renderings(t, ring.Report(0)); again != text {
-				t.Error("second Report(0) differs from the first — reporting mutated state")
+			for _, chunk := range []int{1, 37, len(s.Observations)} {
+				t.Run(fmt.Sprintf("chunk%d", chunk), func(t *testing.T) {
+					ring := analysis.NewWindowRing(p, tc.cfg)
+					feedChunks(ring, s.Observations, chunk)
+					if ring.Seq() != len(s.Observations) {
+						t.Fatalf("Seq = %d, want %d", ring.Seq(), len(s.Observations))
+					}
+					// Reporting must not perturb live state: render a trailing
+					// window first, then all time twice.
+					ring.Report(tc.cfg.Interval)
+					text, js := renderings(t, ring.Report(0))
+					if text != baseText {
+						t.Errorf("all-time report differs from batch (len %d vs %d)", len(text), len(baseText))
+					}
+					if !bytes.Equal(js, baseJSON) {
+						t.Error("all-time JSON differs from batch")
+					}
+					if again, _ := renderings(t, ring.Report(0)); again != text {
+						t.Error("second Report(0) differs from the first — reporting mutated state")
+					}
+				})
 			}
 		})
 	}
@@ -88,7 +92,7 @@ func TestWindowRingTrailingWindow(t *testing.T) {
 
 	lo, hi := obsSpan(s.Observations)
 	interval := hi.Sub(lo)/6 + 1
-	cfg := analysis.WindowConfig{Interval: interval, Buckets: 1000, Workers: 2}
+	cfg := analysis.WindowConfig{Interval: interval, Buckets: 1000}
 	ring := analysis.NewWindowRing(p, cfg)
 	feedChunks(ring, s.Observations, 53)
 
@@ -120,19 +124,17 @@ func TestWindowRingTrailingWindow(t *testing.T) {
 	}
 }
 
-// TestWindowSnapshotEquivalence is the satellite #4 guarantee: ingest N,
-// snapshot, restore, ingest M more — the final report must be byte-identical
-// to ingesting N+M in one uninterrupted run (which itself matches the batch
-// pipeline), across seeds and worker widths. The snapshot also round-trips
-// through JSON canonically: re-marshaling a restored ring reproduces the
-// original bytes.
+// TestWindowSnapshotEquivalence: ingest N, snapshot, restore, ingest M more
+// — the final report must be byte-identical to ingesting N+M in one
+// uninterrupted run (which itself matches the batch pipeline), across seeds
+// and ObserveBatch chunk sizes. The snapshot also round-trips through JSON
+// canonically: re-marshaling a restored ring reproduces the original bytes.
 func TestWindowSnapshotEquivalence(t *testing.T) {
 	seeds := []int64{1, 2, 3}
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
 	for _, seed := range seeds {
-		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			s := generate(t, seed)
 			p := lintingPipeline(s)
@@ -141,45 +143,45 @@ func TestWindowSnapshotEquivalence(t *testing.T) {
 			lo, hi := obsSpan(s.Observations)
 			interval := hi.Sub(lo)/10 + 1
 			split := len(s.Observations) / 2
+			cfg := analysis.WindowConfig{Interval: interval, Buckets: 6}
 
-			for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-				cfg := analysis.WindowConfig{Interval: interval, Buckets: 6, Workers: workers}
+			for _, chunk := range []int{1, 37, len(s.Observations)} {
+				t.Run(fmt.Sprintf("chunk%d", chunk), func(t *testing.T) {
+					ring := analysis.NewWindowRing(p, cfg)
+					feedChunks(ring, s.Observations[:split], chunk)
 
-				ring := analysis.NewWindowRing(p, cfg)
-				feedChunks(ring, s.Observations[:split], 41)
+					data, err := json.Marshal(ring.Snapshot())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if again, _ := json.Marshal(ring.Snapshot()); !bytes.Equal(data, again) {
+						t.Fatal("snapshot encoding is not canonical")
+					}
 
-				data, err := json.Marshal(ring.Snapshot())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if again, _ := json.Marshal(ring.Snapshot()); !bytes.Equal(data, again) {
-					t.Fatalf("workers=%d: snapshot encoding is not canonical", workers)
-				}
+					var snap analysis.WindowRingSnapshot
+					if err := json.Unmarshal(data, &snap); err != nil {
+						t.Fatal(err)
+					}
+					restored, err := analysis.RestoreWindowRing(p, cfg, &snap)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if resnap, _ := json.Marshal(restored.Snapshot()); !bytes.Equal(data, resnap) {
+						t.Error("restored ring re-snapshots differently")
+					}
+					if restored.Seq() != split {
+						t.Fatalf("restored Seq = %d, want %d", restored.Seq(), split)
+					}
 
-				var snap analysis.WindowRingSnapshot
-				if err := json.Unmarshal(data, &snap); err != nil {
-					t.Fatal(err)
-				}
-				restored, err := analysis.RestoreWindowRing(p, cfg, &snap)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if resnap, _ := json.Marshal(restored.Snapshot()); !bytes.Equal(data, resnap) {
-					t.Errorf("workers=%d: restored ring re-snapshots differently", workers)
-				}
-				if restored.Seq() != split {
-					t.Fatalf("workers=%d: restored Seq = %d, want %d", workers, restored.Seq(), split)
-				}
-
-				feedChunks(restored, s.Observations[split:], 41)
-				text, js := renderings(t, restored.Report(0))
-				if text != baseText {
-					t.Errorf("workers=%d: post-restore report differs from batch (len %d vs %d)",
-						workers, len(text), len(baseText))
-				}
-				if !bytes.Equal(js, baseJSON) {
-					t.Errorf("workers=%d: post-restore JSON differs from batch", workers)
-				}
+					feedChunks(restored, s.Observations[split:], chunk)
+					text, js := renderings(t, restored.Report(0))
+					if text != baseText {
+						t.Errorf("post-restore report differs from batch (len %d vs %d)", len(text), len(baseText))
+					}
+					if !bytes.Equal(js, baseJSON) {
+						t.Error("post-restore JSON differs from batch")
+					}
+				})
 			}
 		})
 	}

@@ -76,7 +76,7 @@ func LoadFormat(format Format, ssl, x509 io.Reader) ([]*campus.Observation, erro
 // observations themselves flow straight into the consumer.
 //
 // The join runs block-parallel (zeek.FoldBlocks): every worker folds its
-// block's rows into a blockAgg, and the block aggregates merge here in file
+// block's rows into a Reduction, and the block reductions merge here in file
 // order, so the observations, their order and every error are those of one
 // serial pass over the file.
 func LoadFormatFunc(format Format, ssl, x509 io.Reader, emit func(*campus.Observation) error) error {
@@ -88,7 +88,7 @@ func LoadFormatFunc(format Format, ssl, x509 io.Reader, emit func(*campus.Observ
 		return err
 	}
 	l := loader{byKey: make(map[string]int)}
-	fold := zeek.BlockFold[*blockAgg]{New: newBlockAgg, Fold: (*blockAgg).fold, Merge: l.merge}
+	fold := zeek.BlockFold[*Reduction]{New: NewReduction, Fold: (*Reduction).fold, Merge: l.merge}
 	if format == FormatJSON {
 		err = zeek.FoldBlocksJSON(ssl, x509, fold)
 	} else {
@@ -106,25 +106,30 @@ func LoadFormatFunc(format Format, ssl, x509 io.Reader, emit func(*campus.Observ
 	return nil
 }
 
-// rowKey identifies a row's observation cheaply. A worker's chains are
-// canonical, so the first element's address stands for the whole chain; nil
-// is the empty chain. Equal rowKeys mean equal content keys.
+// rowKey identifies a row's observation cheaply. A block worker's chains
+// are canonical, so the first element's address stands for the whole chain;
+// the daemon's joiner builds every chain afresh, so there a non-empty chain
+// never matches the previous row's. nil is the empty chain. Equal rowKeys
+// mean equal content keys.
 type rowKey struct {
 	chain *(*certmodel.Meta)
 	respH string
 	port  int
 }
 
-// blockEntry is one observation's aggregate over one block's rows.
+// blockEntry is one observation's aggregate over a Reduction's rows.
 type blockEntry struct {
 	key string // (chain, server endpoint) content key, as merged across blocks
 	o   *campus.Observation
 }
 
-// blockAgg folds one block's joined rows into per-observation aggregates,
-// in first-seen order. It runs on a block worker and owns everything it
-// points to until merged.
-type blockAgg struct {
+// Reduction is the connection→observation reduction the paper performs
+// over its logs: joined connections fold into one observation per
+// (delivered chain, server endpoint), in first-seen order, with connection,
+// establishment, SNI and client-IP aggregates. The batch loader runs one per
+// file block; the ingest daemon keeps one per open log-time window. A
+// Reduction owns everything it points to and is not safe for concurrent use.
+type Reduction struct {
 	entries []blockEntry
 	byKey   map[string]int32 // content key → entry
 	// ips holds an entry's client IPs past its first smallIPs, which a
@@ -144,8 +149,9 @@ type ipKey struct {
 	ip    string
 }
 
-func newBlockAgg() *blockAgg {
-	return &blockAgg{
+// NewReduction returns an empty reduction.
+func NewReduction() *Reduction {
+	return &Reduction{
 		byKey:   make(map[string]int32),
 		ips:     make(map[ipKey]struct{}),
 		lastIdx: -1,
@@ -154,7 +160,7 @@ func newBlockAgg() *blockAgg {
 
 // fold folds one joined row. Per-row join gaps (x509 rotation) are
 // tolerated like real log pipelines tolerate them: the row is dropped.
-func (a *blockAgg) fold(c *zeek.Connection, rowErr error) {
+func (a *Reduction) fold(c *zeek.Connection, rowErr error) {
 	if rowErr != nil {
 		return
 	}
@@ -190,8 +196,8 @@ func (a *blockAgg) fold(c *zeek.Connection, rowErr error) {
 	a.addIP(o, i, r.OrigH)
 }
 
-// addIP adds ip to entry i's client IPs unless the block has seen it.
-func (a *blockAgg) addIP(o *campus.Observation, i int32, ip string) {
+// addIP adds ip to entry i's client IPs unless the reduction has seen it.
+func (a *Reduction) addIP(o *campus.Observation, i int32, ip string) {
 	small := o.ClientIPs[:min(len(o.ClientIPs), smallIPs)]
 	for _, s := range small {
 		if s == ip {
@@ -209,8 +215,8 @@ func (a *blockAgg) addIP(o *campus.Observation, i int32, ip string) {
 }
 
 // entry returns the entry for a row's content key, opening one on the
-// key's first row in the block.
-func (a *blockAgg) entry(c *zeek.Connection) int32 {
+// key's first row in the reduction.
+func (a *Reduction) entry(c *zeek.Connection) int32 {
 	a.keyBuf = c.Chain.AppendKey(a.keyBuf[:0])
 	a.keyBuf = append(a.keyBuf, '|')
 	a.keyBuf = append(a.keyBuf, c.SSL.RespH...)
@@ -232,7 +238,39 @@ func (a *blockAgg) entry(c *zeek.Connection) int32 {
 	return i
 }
 
-// loader merges block aggregates in file order into the observations of one
+// Add folds one joined connection.
+func (a *Reduction) Add(c *zeek.Connection) { a.fold(c, nil) }
+
+// Len is the number of observations the reduction holds.
+func (a *Reduction) Len() int { return len(a.entries) }
+
+// Observations returns copies of the reduction's observations in
+// first-seen order, client IPs sorted, as the batch loader emits them. The
+// reduction itself is left unchanged and can keep folding.
+func (a *Reduction) Observations() []*campus.Observation {
+	out := make([]*campus.Observation, len(a.entries))
+	for i, e := range a.entries {
+		o := *e.o
+		o.ClientIPs = slices.Clone(o.ClientIPs)
+		sort.Strings(o.ClientIPs)
+		out[i] = &o
+	}
+	return out
+}
+
+// Restore merges an observation that Observations returned back into the
+// reduction, as a daemon reopens a window from its snapshot: later
+// connections to the same chain and server endpoint fold into it.
+func (a *Reduction) Restore(o *campus.Observation) {
+	i := a.entry(&zeek.Connection{Chain: o.Chain, SSL: &zeek.SSLRecord{TS: o.First, RespH: o.ServerIP, RespP: o.Port}})
+	e := a.entries[i].o
+	mergeCounters(e, o)
+	for _, ip := range o.ClientIPs {
+		a.addIP(e, i, ip)
+	}
+}
+
+// loader merges block reductions in file order into the observations of one
 // serial pass: counters sum, TLS13 ORs, First/Last widen, client IPs
 // union, and Domain, Chain, ServerIP and Port come from the first row that
 // set them, because blocks and their entries arrive in first-seen order.
@@ -250,7 +288,7 @@ type loadAgg struct {
 	sorted int
 }
 
-func (l *loader) merge(a *blockAgg) error {
+func (l *loader) merge(a *Reduction) error {
 	for _, e := range a.entries {
 		i, ok := l.byKey[e.key]
 		if !ok {
@@ -259,21 +297,9 @@ func (l *loader) merge(a *blockAgg) error {
 			continue
 		}
 		g := &l.order[i]
-		o, b := g.o, e.o
-		o.Conns += b.Conns
-		o.Established += b.Established
-		o.NoSNI += b.NoSNI
-		if o.Domain == "" {
-			o.Domain = b.Domain
-		}
-		o.TLS13 = o.TLS13 || b.TLS13
-		if b.First.Before(o.First) {
-			o.First = b.First
-		}
-		if b.Last.After(o.Last) {
-			o.Last = b.Last
-		}
-		o.ClientIPs = append(o.ClientIPs, b.ClientIPs...)
+		o := g.o
+		mergeCounters(o, e.o)
+		o.ClientIPs = append(o.ClientIPs, e.o.ClientIPs...)
 		if len(o.ClientIPs) > 2*g.sorted+16 {
 			g.compactIPs()
 		}
@@ -284,6 +310,25 @@ func (l *loader) merge(a *blockAgg) error {
 	clear(a.ips)
 	a.last, a.lastIdx = rowKey{}, -1
 	return nil
+}
+
+// mergeCounters folds b's aggregates except client IPs into o, which
+// holds the earlier rows: counters sum, TLS13 ORs, First/Last widen, and
+// Domain keeps o's unless o has none.
+func mergeCounters(o, b *campus.Observation) {
+	o.Conns += b.Conns
+	o.Established += b.Established
+	o.NoSNI += b.NoSNI
+	if o.Domain == "" {
+		o.Domain = b.Domain
+	}
+	o.TLS13 = o.TLS13 || b.TLS13
+	if b.First.Before(o.First) {
+		o.First = b.First
+	}
+	if b.Last.After(o.Last) {
+		o.Last = b.Last
+	}
 }
 
 // compactIPs sorts the client IPs and drops duplicates.

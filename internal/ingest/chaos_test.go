@@ -77,7 +77,7 @@ func runManifest(tb testing.TB, seed int64, workers int, ssl, x509 []byte, repor
 }
 
 // TestIngestChaosEquivalence is the tentpole contract: seeds × fault plans ×
-// worker widths, every eventually-successful plan reproduces the fault-free
+// core counts, every eventually-successful plan reproduces the fault-free
 // report byte for byte, and the injector's records reconcile exactly with
 // the registry's fault counters.
 func TestIngestChaosEquivalence(t *testing.T) {
@@ -114,12 +114,13 @@ func TestIngestChaosEquivalence(t *testing.T) {
 			for _, plan := range plans {
 				for _, workers := range []int{1, 3} {
 					t.Run(fmt.Sprintf("%s/workers%d", plan.name, workers), func(t *testing.T) {
+						withProcs(t, workers)
 						sslPath, x509Path := writeLogs(t, t.TempDir(), ssl, x509)
 						p := resilience.NewPlan(plan.faults...)
 						ing := ingest.New(newPipeline(s), ingest.Config{
 							SSLPath:  sslPath,
 							X509Path: x509Path,
-							Window:   analysis.WindowConfig{Interval: giantInterval, Buckets: 4, Workers: workers},
+							Window:   analysis.WindowConfig{Interval: giantInterval, Buckets: 4},
 							FS:       p.FS("tail", nil),
 							Faults:   p,
 							Retry:    chaosPolicy(),
@@ -186,7 +187,7 @@ func TestIngestSnapshotWriteRetry(t *testing.T) {
 	cfg := ingest.Config{
 		SSLPath:      sslPath,
 		X509Path:     x509Path,
-		Window:       analysis.WindowConfig{Interval: giantInterval, Buckets: 4, Workers: 2},
+		Window:       analysis.WindowConfig{Interval: giantInterval, Buckets: 4},
 		SnapshotPath: filepath.Join(dir, "ingest.snapshot"),
 		Faults:       p,
 		Retry:        chaosPolicy(),
@@ -254,7 +255,7 @@ func TestDaemonChaosE2E(t *testing.T) {
 	cfg := ingest.Config{
 		SSLPath:      sslPath,
 		X509Path:     x509Path,
-		Window:       analysis.WindowConfig{Interval: giantInterval, Buckets: 4, Workers: 2},
+		Window:       analysis.WindowConfig{Interval: giantInterval, Buckets: 4},
 		SnapshotPath: filepath.Join(dir, "ingest.snapshot"),
 		FS:           p.FS("tail", nil),
 		Faults:       p,

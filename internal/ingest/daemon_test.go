@@ -26,7 +26,7 @@ func TestDaemonGracefulShutdown(t *testing.T) {
 	cfg := ingest.Config{
 		SSLPath:      sslPath,
 		X509Path:     x509Path,
-		Window:       analysis.WindowConfig{Interval: span(s) / 8, Buckets: 4, Workers: 2},
+		Window:       analysis.WindowConfig{Interval: span(s) / 8, Buckets: 4},
 		SnapshotPath: filepath.Join(dir, "ingest.snapshot"),
 	}
 	ing := ingest.New(newPipeline(s), cfg)

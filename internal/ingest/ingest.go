@@ -45,7 +45,7 @@ type Config struct {
 	SSLPath, X509Path string
 	// JSON selects ND-JSON logs instead of TSV.
 	JSON bool
-	// Window sizes the analysis ring (interval, live depth, fold workers).
+	// Window sizes the analysis ring (interval, live depth).
 	Window analysis.WindowConfig
 	// CertCap / PendingCap bound the incremental joiner (0 = defaults,
 	// negative = unbounded).
@@ -109,7 +109,7 @@ func New(p *analysis.Pipeline, cfg Config) *Ingestor {
 		cfg:       cfg,
 		p:         p,
 		ring:      ring,
-		agg:       newAggregator(cfg.Window.Interval),
+		agg:       newAggregator(),
 		startedAt: time.Now(),
 		reg:       obs.NewRegistry(),
 	}
@@ -132,7 +132,7 @@ func (ing *Ingestor) newDecoder() zeek.LineDecoder {
 
 // observeConn is the joiner's emit callback (called under ing.mu).
 func (ing *Ingestor) observeConn(c *zeek.Connection) error {
-	ing.agg.add(c)
+	ing.agg.add(ing.ring.Index(c.SSL.TS), c)
 	if !ing.wmSet || c.SSL.TS.After(ing.wm) {
 		ing.wm, ing.wmSet = c.SSL.TS, true
 	}
@@ -197,7 +197,7 @@ func (ing *Ingestor) Finish() error {
 // window order, preserving first-seen observation order within each window —
 // the same order the batch loader emits.
 func (ing *Ingestor) foldReady(force bool) {
-	obs, n := ing.agg.closeReady(ing.wm, ing.wmSet, force)
+	obs, n := ing.agg.closeReady(ing.ring.Index(ing.wm), ing.wmSet, force)
 	if n > 0 {
 		ing.ring.ObserveBatch(obs)
 		ing.foldedWindows += int64(n)
@@ -336,7 +336,7 @@ func Restore(p *analysis.Pipeline, cfg Config, data []byte) (*Ingestor, error) {
 		return nil, err
 	}
 	cfg.Window = ring.Config()
-	agg, err := restoreAggregator(cfg.Window.Interval, s.Agg)
+	agg, err := restoreAggregator(s.Agg)
 	if err != nil {
 		return nil, err
 	}
@@ -396,31 +396,12 @@ func (ing *Ingestor) Close() error {
 
 // --- windowed re-aggregation -------------------------------------------
 
-// aggKey matches the batch loader's observation identity exactly.
-func aggKey(c *zeek.Connection) string {
-	return c.Chain.Key() + "|" + c.SSL.RespH + "|" + fmt.Sprint(c.SSL.RespP)
-}
-
-// openAgg is one (chain, server endpoint) aggregate inside one window,
-// mirroring the batch loader's accumulation field for field.
-type openAgg struct {
-	o   *campus.Observation
-	ips map[string]bool
-}
-
-// aggWindow holds one log-time interval's open aggregates in first-seen
-// order.
-type aggWindow struct {
-	order []string
-	aggs  map[string]*openAgg
-}
-
-// aggregator buckets joined connections into per-interval observation
-// aggregates, closing a window once the join watermark passes its end.
+// aggregator buckets joined connections by log-time window, one
+// analysis.Reduction per open window, and closes a window once the join
+// watermark passes its end.
 type aggregator struct {
-	interval time.Duration //certchain:nosnapshot config; Restore threads it from the ring snapshot's authoritative IntervalNS
-	windows  map[int64]*aggWindow
-	order    []int64 // ascending open-window indexes
+	windows map[int64]*analysis.Reduction
+	order   []int64 // ascending open-window indexes
 
 	// maxFolded guards against out-of-order stragglers: a connection landing
 	// in an already-folded window re-opens it (counted) and the straggler
@@ -431,106 +412,44 @@ type aggregator struct {
 	totalConns int64
 }
 
-func newAggregator(interval time.Duration) *aggregator {
-	return &aggregator{interval: interval, windows: make(map[int64]*aggWindow)}
+func newAggregator() *aggregator {
+	return &aggregator{windows: make(map[int64]*analysis.Reduction)}
 }
 
-func floorDiv(a, b int64) int64 {
-	q := a / b
-	if a%b != 0 && (a < 0) != (b < 0) {
-		q--
+func (g *aggregator) window(idx int64) *analysis.Reduction {
+	if r, ok := g.windows[idx]; ok {
+		return r
 	}
-	return q
-}
-
-func (g *aggregator) window(idx int64) *aggWindow {
-	if w, ok := g.windows[idx]; ok {
-		return w
-	}
-	w := &aggWindow{aggs: make(map[string]*openAgg)}
-	g.windows[idx] = w
+	r := analysis.NewReduction()
+	g.windows[idx] = r
 	pos := sort.Search(len(g.order), func(i int) bool { return g.order[i] >= idx })
 	g.order = append(g.order, 0)
 	copy(g.order[pos+1:], g.order[pos:])
 	g.order[pos] = idx
-	return w
+	return r
 }
 
-// add folds one joined connection into its window's aggregate, replicating
-// the batch loader's per-connection accumulation.
-func (g *aggregator) add(c *zeek.Connection) {
+// add folds one joined connection into window idx.
+func (g *aggregator) add(idx int64, c *zeek.Connection) {
 	g.totalConns++
-	idx := floorDiv(c.SSL.TS.UnixNano(), int64(g.interval))
 	if g.foldedAny && idx <= g.maxFolded {
 		g.lateConns++
 	}
-	w := g.window(idx)
-	key := aggKey(c)
-	a := w.aggs[key]
-	if a == nil {
-		a = &openAgg{
-			o: &campus.Observation{
-				Chain:    c.Chain,
-				ServerIP: c.SSL.RespH,
-				Port:     c.SSL.RespP,
-				First:    c.SSL.TS,
-				Last:     c.SSL.TS,
-			},
-			ips: make(map[string]bool),
-		}
-		w.aggs[key] = a
-		w.order = append(w.order, key)
-	}
-	a.o.Conns++
-	if c.SSL.Established {
-		a.o.Established++
-	}
-	if c.SSL.ServerName == "" {
-		a.o.NoSNI++
-	} else if a.o.Domain == "" {
-		a.o.Domain = c.SSL.ServerName
-	}
-	if len(c.Chain) == 0 {
-		a.o.TLS13 = true
-	}
-	a.ips[c.SSL.OrigH] = true
-	if c.SSL.TS.Before(a.o.First) {
-		a.o.First = c.SSL.TS
-	}
-	if c.SSL.TS.After(a.o.Last) {
-		a.o.Last = c.SSL.TS
-	}
+	g.window(idx).Add(c)
 }
 
-// finalizeObs materializes an aggregate's observation (sorted client IPs, as
-// the batch loader emits them).
-func (a *openAgg) finalizeObs() *campus.Observation {
-	ips := make([]string, 0, len(a.ips))
-	for ip := range a.ips {
-		ips = append(ips, ip)
-	}
-	sort.Strings(ips)
-	o := *a.o
-	o.ClientIPs = ips
-	return &o
-}
-
-// closeReady removes and returns the observations of every window whose end
-// the watermark has passed (all open windows when force), ascending by
-// window then first-seen. n is the number of windows closed.
-func (g *aggregator) closeReady(wm time.Time, wmSet, force bool) (obs []*campus.Observation, n int) {
+// closeReady removes and returns the observations of every window that ends
+// at or before window wmIdx, the watermark's (all open windows when force),
+// ascending by window then first-seen. n is the number of windows closed.
+func (g *aggregator) closeReady(wmIdx int64, wmSet, force bool) (obs []*campus.Observation, n int) {
 	var remaining []int64
 	for _, idx := range g.order {
-		end := (idx + 1) * int64(g.interval)
-		if !force && (!wmSet || wm.UnixNano() < end) {
+		if !force && (!wmSet || wmIdx <= idx) {
 			remaining = append(remaining, idx)
 			continue
 		}
-		w := g.windows[idx]
+		obs = append(obs, g.windows[idx].Observations()...)
 		delete(g.windows, idx)
-		for _, key := range w.order {
-			obs = append(obs, w.aggs[key].finalizeObs())
-		}
 		if !g.foldedAny || idx > g.maxFolded {
 			g.maxFolded, g.foldedAny = idx, true
 		}
@@ -540,24 +459,21 @@ func (g *aggregator) closeReady(wm time.Time, wmSet, force bool) (obs []*campus.
 	return obs, n
 }
 
-// provisional returns copies of every still-open aggregate, ascending by
+// provisional returns copies of every still-open observation, ascending by
 // window then first-seen, without closing anything.
 func (g *aggregator) provisional() []*campus.Observation {
 	var obs []*campus.Observation
 	for _, idx := range g.order {
-		w := g.windows[idx]
-		for _, key := range w.order {
-			obs = append(obs, w.aggs[key].finalizeObs())
-		}
+		obs = append(obs, g.windows[idx].Observations()...)
 	}
 	return obs
 }
 
-// openCount is the number of open aggregates across all windows.
+// openCount is the number of open observations across all windows.
 func (g *aggregator) openCount() int {
 	n := 0
-	for _, w := range g.windows {
-		n += len(w.aggs)
+	for _, r := range g.windows {
+		n += r.Len()
 	}
 	return n
 }
@@ -578,7 +494,7 @@ type aggWindowSnap struct {
 	Aggs []aggSnap `json:"aggs"`
 }
 
-// aggSnap serializes one open aggregate; the chain is referenced by
+// aggSnap serializes one open observation; the chain is referenced by
 // fingerprint key against the snapshot's certificate table.
 type aggSnap struct {
 	ChainKey    string                 `json:"chain,omitempty"`
@@ -603,14 +519,11 @@ func (g *aggregator) snapshot() *aggSnapshot {
 	}
 	certs := make(map[string]*certmodel.Meta)
 	for _, idx := range g.order {
-		w := g.windows[idx]
 		ws := aggWindowSnap{Idx: idx}
-		for _, key := range w.order {
-			a := w.aggs[key]
-			for _, m := range a.o.Chain {
+		for _, o := range g.windows[idx].Observations() {
+			for _, m := range o.Chain {
 				certs[string(m.FP)] = m
 			}
-			o := a.finalizeObs()
 			ws.Aggs = append(ws.Aggs, aggSnap{
 				ChainKey:    o.Chain.Key(),
 				ServerIP:    o.ServerIP,
@@ -638,26 +551,27 @@ func (g *aggregator) snapshot() *aggSnapshot {
 	return s
 }
 
-func restoreAggregator(interval time.Duration, s *aggSnapshot) (*aggregator, error) {
-	g := newAggregator(interval)
+func restoreAggregator(s *aggSnapshot) (*aggregator, error) {
+	g := newAggregator()
 	if s == nil {
 		return g, nil
 	}
 	g.maxFolded, g.foldedAny = s.MaxFolded, s.FoldedAny
 	g.lateConns, g.totalConns = s.LateConns, s.Total
-	table := make(map[string]*certmodel.Meta, len(s.Certs))
+	table := make(map[certmodel.Fingerprint]*certmodel.Meta, len(s.Certs))
 	for _, ms := range s.Certs {
 		m := ms.Meta()
-		table[string(m.FP)] = m
+		table[m.FP] = m
 	}
+	resolve := func(fp certmodel.Fingerprint) *certmodel.Meta { return table[fp] }
 	for _, ws := range s.Windows {
-		w := g.window(ws.Idx)
+		r := g.window(ws.Idx)
 		for _, as := range ws.Aggs {
-			ch, err := chainFromSnapKey(as.ChainKey, table)
+			ch, err := analysis.ChainFromKey(as.ChainKey, resolve)
 			if err != nil {
 				return nil, err
 			}
-			o := &campus.Observation{
+			r.Restore(&campus.Observation{
 				Chain:       ch,
 				ServerIP:    as.ServerIP,
 				Port:        as.Port,
@@ -668,35 +582,9 @@ func restoreAggregator(interval time.Duration, s *aggSnapshot) (*aggregator, err
 				Established: as.Established,
 				NoSNI:       as.NoSNI,
 				TLS13:       as.TLS13,
-			}
-			key := ch.Key() + "|" + o.ServerIP + "|" + fmt.Sprint(o.Port)
-			ips := make(map[string]bool, len(as.ClientIPs))
-			for _, ip := range as.ClientIPs {
-				ips[ip] = true
-			}
-			w.aggs[key] = &openAgg{o: o, ips: ips}
-			w.order = append(w.order, key)
+				ClientIPs:   as.ClientIPs,
+			})
 		}
 	}
 	return g, nil
-}
-
-func chainFromSnapKey(key string, table map[string]*certmodel.Meta) (certmodel.Chain, error) {
-	if key == "" {
-		return nil, nil
-	}
-	var ch certmodel.Chain
-	start := 0
-	for i := 0; i <= len(key); i++ {
-		if i == len(key) || key[i] == '|' {
-			fp := key[start:i]
-			m := table[fp]
-			if m == nil {
-				return nil, fmt.Errorf("ingest: snapshot references unknown certificate %s", fp)
-			}
-			ch = append(ch, m)
-			start = i + 1
-		}
-	}
-	return ch, nil
 }

@@ -163,10 +163,21 @@ func drain(tb testing.TB, ing *ingest.Ingestor) {
 	}
 }
 
+// withProcs runs the rest of t at GOMAXPROCS n and restores the previous
+// width when t ends. n is the number of workers the batch loader's
+// block-parallel join (zeek.FoldBlocks) folds ssl.log blocks on.
+func withProcs(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // TestIngestorMatchesBatch is the core streaming guarantee: tail the
-// replayed logs (both formats, several fold-worker widths), finish, and the
+// replayed logs (both formats, several core counts), finish, and the
 // all-time report is byte-identical to the batch pipeline over the same
-// bytes.
+// bytes. The core count is the batch loader's block-parallel width, so each
+// case pits a differently scheduled batch fold against the daemon's
+// row-at-a-time fold.
 func TestIngestorMatchesBatch(t *testing.T) {
 	s := scenario(t, 1)
 	for _, jsonFormat := range []bool{false, true} {
@@ -177,16 +188,18 @@ func TestIngestorMatchesBatch(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			ssl, x509 := replayBytes(t, s, jsonFormat)
-			wantText, wantJS := renderings(t, batchReport(t, newPipeline(s), format, ssl, x509))
 
 			for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 				t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
+					withProcs(t, workers)
+					wantText, wantJS := renderings(t, batchReport(t, newPipeline(s), format, ssl, x509))
+
 					sslPath, x509Path := writeLogs(t, t.TempDir(), ssl, x509)
 					ing := ingest.New(newPipeline(s), ingest.Config{
 						SSLPath:  sslPath,
 						X509Path: x509Path,
 						JSON:     jsonFormat,
-						Window:   analysis.WindowConfig{Interval: giantInterval, Buckets: 4, Workers: workers},
+						Window:   analysis.WindowConfig{Interval: giantInterval, Buckets: 4},
 					})
 					defer ing.Close()
 					drain(t, ing)
@@ -234,7 +247,7 @@ func TestIngestorWindowedFolding(t *testing.T) {
 		ing := ingest.New(newPipeline(s), ingest.Config{
 			SSLPath:  sslPath,
 			X509Path: x509Path,
-			Window:   analysis.WindowConfig{Interval: interval, Buckets: 4, Workers: 2},
+			Window:   analysis.WindowConfig{Interval: interval, Buckets: 4},
 		})
 		t.Cleanup(func() { ing.Close() })
 		drain(t, ing)
@@ -276,10 +289,107 @@ func TestIngestorWindowedFolding(t *testing.T) {
 	}
 }
 
+// TestIngestorLateConnection pins the straggler path: a connection that
+// lands in an already-folded window counts once in late_conns and folds as
+// its own observation, connection totals stay those of the batch pipeline
+// over the same bytes, and a snapshot/restore after each poll changes
+// nothing.
+func TestIngestorLateConnection(t *testing.T) {
+	s := scenario(t, 1)
+	ssl, x509 := replayBytes(t, s, false)
+	// The straggler is the first (earliest) connection again under a fresh
+	// uid, appended after the rest has been polled and its windows folded.
+	cut := bytes.LastIndex(ssl, []byte("\n#close")) + 1
+	body, trailer := ssl[:cut], ssl[cut:]
+	var straggler []byte
+	for _, line := range bytes.SplitAfter(body, []byte("\n")) {
+		if len(line) > 0 && line[0] != '#' {
+			fields := bytes.Split(line, []byte("\t"))
+			fields[1] = []byte("Cstraggler")
+			straggler = bytes.Join(fields, []byte("\t"))
+			break
+		}
+	}
+	withStraggler := append(append([]byte(nil), straggler...), trailer...)
+	window := analysis.WindowConfig{Interval: span(s)/12 + time.Nanosecond, Buckets: 4}
+
+	// run polls body, appends tail, polls again and finishes; with restart,
+	// every poll is followed by a snapshot and a restore from it.
+	run := func(tail []byte, restart bool) (string, []byte, ingest.Stats) {
+		dir := t.TempDir()
+		sslPath, x509Path := writeLogs(t, dir, body, x509)
+		cfg := ingest.Config{
+			SSLPath:      sslPath,
+			X509Path:     x509Path,
+			Window:       window,
+			SnapshotPath: filepath.Join(dir, "ingest.snapshot"),
+		}
+		ing := ingest.New(newPipeline(s), cfg)
+		poll := func() {
+			if err := ing.PollOnce(); err != nil {
+				t.Fatal(err)
+			}
+			if !restart {
+				return
+			}
+			if err := ing.SnapshotToFile(); err != nil {
+				t.Fatal(err)
+			}
+			ing.Close()
+			var err error
+			if ing, _, err = ingest.RestoreOrNew(newPipeline(s), cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		poll()
+		if late := ing.Stats().LateConns; late != 0 {
+			t.Fatalf("late connections before the straggler: %d", late)
+		}
+		appendFile(t, sslPath, tail)
+		poll()
+		if err := ing.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		defer ing.Close()
+		text, js := renderings(t, ing.Report(0))
+		return text, js, ing.Stats()
+	}
+
+	_, _, base := run(trailer, false)
+	text, js, st := run(withStraggler, false)
+	if st.LateConns != 1 {
+		t.Errorf("late_conns = %d, want 1", st.LateConns)
+	}
+	if st.Observations != base.Observations+1 || st.FoldedWindows != base.FoldedWindows+1 {
+		t.Errorf("straggler folded %d observations in %d windows, want %d in %d",
+			st.Observations, st.FoldedWindows, base.Observations+1, base.FoldedWindows+1)
+	}
+	all := append(append([]byte(nil), body...), withStraggler...)
+	batch := batchReport(t, newPipeline(s), analysis.FormatTSV, all, x509)
+	if st.VisibleConns != batch.Sec63.VisibleConns || st.TLS13Conns != batch.Sec63.TLS13Conns {
+		t.Errorf("conn totals (%d visible, %d tls13) != batch (%d, %d)",
+			st.VisibleConns, st.TLS13Conns, batch.Sec63.VisibleConns, batch.Sec63.TLS13Conns)
+	}
+	for cat, cs := range batch.Table2.PerCategory {
+		if got := st.Categories[cat].Conns; got != cs.Conns {
+			t.Errorf("category %v conns %d != batch %d", cat, got, cs.Conns)
+		}
+	}
+
+	rtext, rjs, rst := run(withStraggler, true)
+	if rtext != text || !bytes.Equal(rjs, js) {
+		t.Error("report after snapshot/restore diverges from the uninterrupted run")
+	}
+	if rst.LateConns != st.LateConns || rst.Observations != st.Observations || rst.FoldedWindows != st.FoldedWindows {
+		t.Errorf("restored run: late %d obs %d windows %d, uninterrupted %d %d %d",
+			rst.LateConns, rst.Observations, rst.FoldedWindows, st.LateConns, st.Observations, st.FoldedWindows)
+	}
+}
+
 // TestIngestorSnapshotRestartEquivalence is the crash-resume guarantee:
 // ingest a prefix (cut mid-line), snapshot, restore into a fresh process
 // image, append the rest, and the final report is byte-identical to a run
-// that never stopped — across seeds and fold-worker widths.
+// that never stopped — across seeds and core counts.
 func TestIngestorSnapshotRestartEquivalence(t *testing.T) {
 	seeds := []int64{1, 2}
 	if testing.Short() {
@@ -293,7 +403,7 @@ func TestIngestorSnapshotRestartEquivalence(t *testing.T) {
 
 			for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 				t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
-					window.Workers = workers
+					withProcs(t, workers)
 
 					// Oracle: the uninterrupted run over the same bytes.
 					sslPath, x509Path := writeLogs(t, t.TempDir(), ssl, x509)
@@ -405,7 +515,7 @@ func TestHandlerEndpoints(t *testing.T) {
 	ing := ingest.New(newPipeline(s), ingest.Config{
 		SSLPath:  sslPath,
 		X509Path: x509Path,
-		Window:   analysis.WindowConfig{Interval: giantInterval, Buckets: 4, Workers: 2},
+		Window:   analysis.WindowConfig{Interval: giantInterval, Buckets: 4},
 	})
 	defer ing.Close()
 	if err := ing.PollOnce(); err != nil {

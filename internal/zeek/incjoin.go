@@ -244,6 +244,11 @@ func (j *IncrementalJoiner) RestoreState(s *JoinerState) error {
 	if len(j.fifo) > 0 || len(j.pending) > 0 {
 		return fmt.Errorf("zeek: joiner restore on a non-empty joiner")
 	}
+	for i, r := range s.Pending {
+		if r == nil {
+			return fmt.Errorf("zeek: joiner restore: pending record %d is null", i)
+		}
+	}
 	if s.WMSet {
 		j.wm, j.wmSet = s.WM.Time(), true
 	}

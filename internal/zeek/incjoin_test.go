@@ -270,3 +270,22 @@ func TestIncrementalJoinStateRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestIncrementalJoinRestoreRejectsNullPending: a snapshot whose hold queue
+// carries a null record must fail to restore; accepted, the next drain
+// would dereference it.
+func TestIncrementalJoinRestoreRejectsNullPending(t *testing.T) {
+	for _, data := range []string{
+		`{"wm":{},"stats":{},"pending":[null]}`,
+		`{"wm":{},"stats":{},"pending":[{"ts":"2024-01-01T00:00:00Z","uid":"C1"},null]}`,
+	} {
+		var state JoinerState
+		if err := json.Unmarshal([]byte(data), &state); err != nil {
+			t.Fatal(err)
+		}
+		j := NewIncrementalJoiner(0, 0, func(*Connection) error { return nil })
+		if err := j.RestoreState(&state); err == nil {
+			t.Errorf("RestoreState(%s) accepted a null pending record", data)
+		}
+	}
+}
